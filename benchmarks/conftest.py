@@ -99,11 +99,16 @@ def pytest_sessionfinish(session, exitstatus):
     # collect-only and failed/partial sessions would clobber it.
     if exitstatus != 0 or session.config.getoption("collectonly"):
         return
-    # Sessions running only self-contained benchmarks don't touch it.
+    # Only sessions that ran a figure/pipeline benchmark update it: a
+    # root test-suite session loads this conftest too, and sessions
+    # running only self-contained benchmarks own other files.
     # session.items is the post-deselection list, so -k/-m filtered
     # runs are classified by what actually ran, not what was collected.
     ran = {Path(item.fspath).stem for item in session.items}
-    if ran and ran <= _SELF_CONTAINED:
+    if not any(
+        stem.startswith("bench_") and stem not in _SELF_CONTAINED
+        for stem in ran
+    ):
         return
     stats = api.compile_cache_stats()
     figures = {}

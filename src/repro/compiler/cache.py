@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.frontend.mapping import MappingSpec, canonicalize
+from repro.obs.metrics import stat
 from repro.tensors.dtype import DType
 
 #: Environment variable overriding the default in-memory capacity.
@@ -66,14 +67,22 @@ class CacheStats:
     answered by the attached persistent tier (disk); ``misses`` ran the
     full pass pipeline. ``evictions`` counts LRU entries dropped because
     the cache was over capacity (from ``put`` or ``resize``). Every
-    field is documented for dashboard consumers in ``docs/serving.md``.
+    field is documented for dashboard consumers in ``docs/serving.md``
+    and declares its ``/metrics`` family.
     """
 
-    hits: int = 0
-    misses: int = 0
-    second_tier_hits: int = 0
-    evictions: int = 0
-    capacity: int = 0
+    hits: int = stat(None, "repro_compile_cache_hits_total",
+                     "In-memory compile-cache hits.", 0)
+    misses: int = stat(None, "repro_compile_cache_misses_total",
+                       "Compile-cache misses (ran the full pass pipeline).",
+                       0)
+    second_tier_hits: int = stat(
+        None, "repro_compile_cache_second_tier_hits_total",
+        "Compile-cache lookups answered by the persistent tier.", 0)
+    evictions: int = stat(None, "repro_compile_cache_evictions_total",
+                          "Compile-cache LRU evictions.", 0)
+    capacity: int = stat(None, "repro_compile_cache_capacity",
+                         "Compile-cache entry capacity.", 0, kind="gauge")
 
     @property
     def lookups(self) -> int:

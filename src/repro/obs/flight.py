@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.errors import CypressError
+from repro.obs.metrics import derived
 
 _REASON_SAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 
@@ -122,14 +123,16 @@ class FlightRecorder:
         with self._lock:
             return len(self._records)
 
-    @property
+    @derived(None, "repro_flight_records_total",
+             "Records appended to the flight recorder (retained or not).")
     def recorded(self) -> int:
         """Records appended over the recorder's lifetime (retained or
         not)."""
         with self._lock:
             return self._recorded
 
-    @property
+    @derived(None, "repro_flight_dumps_total",
+             "Flight-recorder dump files written (close, crash, manual).")
     def dumps(self) -> int:
         """How many times :meth:`dump` has written a file."""
         with self._lock:

@@ -7,12 +7,16 @@ renders the standard Prometheus text-exposition format
 (:meth:`MetricsRegistry.render`) so the future fleet gateway can serve
 it from a ``/metrics`` endpoint and existing scrapers ingest it as-is.
 
-:func:`server_metrics` is the bridge from the runtime's siloed
-snapshots: it publishes every :class:`~repro.runtime.telemetry.
-RuntimeStats` counter/percentile, the process-wide compile-cache
+Stats classes declare how each value is exported once, with
+:func:`stat` (dataclass fields) or :func:`derived` (properties);
+:func:`publish_stats` turns those declarations into metric families.
+:func:`server_metrics` is the bridge from the runtime's snapshots: it
+publishes the declared :class:`~repro.runtime.telemetry.RuntimeStats`
+families, the process-wide compile-cache
 :class:`~repro.compiler.cache.CacheStats`, the disk tier's
-:class:`~repro.runtime.diskcache.DiskCacheStats`, and the speculation
-counters into one scrapeable registry.
+:class:`~repro.runtime.diskcache.DiskCacheStats`, and the tracer,
+flight-recorder, profiler and SLO families into one scrapeable
+registry.
 
 Naming convention (see ``docs/observability.md``): every metric is
 prefixed ``repro_``, counters end in ``_total``, time is in seconds
@@ -23,10 +27,13 @@ labels.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 import math
 import re
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CypressError
 
@@ -356,17 +363,121 @@ class MetricsRegistry:
             return len(self._metrics)
 
 
+# ----------------------------------------------------------------------
+# Declared stats: each field declared once, every export derived
+# ----------------------------------------------------------------------
+
+_DECLARED = itertools.count()
+
+
+def stat(
+    path: Optional[str] = None,
+    metric: Optional[str] = None,
+    help: str = "",
+    default=dataclasses.MISSING,
+    *,
+    default_factory=dataclasses.MISSING,
+    **spec,
+):
+    """A stats-dataclass field declared once with how it is exported.
+
+    ``path`` places it in ``to_json()``: ``"section"`` or
+    ``"section.key"`` (the key defaults to the field name). ``metric``
+    and ``help`` name its Prometheus family. ``spec`` may add ``kind``
+    (``"counter"``, the default, or ``"gauge"``), ``label`` (the value
+    is a dict, one child per key), ``const`` (constant labels, e.g.
+    ``{"quantile": "0.5"}``), ``encode`` (maps each value to a
+    number), ``rows`` (the dict's values are dataclass rows of this
+    type, their own families labelled by the key) and ``counted`` (a
+    counter the telemetry collector accumulates).
+    """
+    spec.update(path=path, metric=metric, help=help, order=next(_DECLARED))
+    return dataclasses.field(
+        default=default, default_factory=default_factory, metadata=spec
+    )
+
+
+def derived(*args, **spec) -> Callable[[Callable], property]:
+    """Decorator: a read-only property exported like a :func:`stat`
+    field; its position among the fields sets its ``to_json`` order."""
+
+    def wrap(fget: Callable) -> property:
+        fget.stat = stat(*args, **spec).metadata
+        return property(fget)
+
+    return wrap
+
+
+@functools.lru_cache(maxsize=None)
+def stat_exports(cls: type) -> Tuple[Tuple[str, dict], ...]:
+    """``(attribute, spec)`` for every declared field (of a dataclass)
+    and property of ``cls``, in declaration order."""
+    fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+    found = [(f.name, f.metadata) for f in fields if "order" in f.metadata]
+    found += [
+        (name, member.fget.stat)
+        for name, member in vars(cls).items()
+        if isinstance(member, property) and hasattr(member.fget, "stat")
+    ]
+    return tuple(sorted(found, key=lambda pair: pair[1]["order"]))
+
+
+def publish_stats(registry: MetricsRegistry, stats) -> None:
+    """Publish every metric family the class of ``stats`` declares.
+
+    Families register before they have children, so a scraper sees the
+    schema before traffic. Counters publish through ``set_total``.
+    """
+    _publish(registry, type(stats), [((), stats)], ())
+
+
+def _publish(registry, cls, rows, label_names) -> None:
+    """Publish ``cls``'s families once per ``(label values, instance)``
+    row, under the ``label_names`` prefix."""
+    for name, spec in stat_exports(cls):
+        label = spec.get("label")
+        names = label_names + ((label,) if label else ())
+        if spec.get("rows"):
+            nested = [
+                (values + (key,), row)
+                for values, obj in rows
+                for key, row in getattr(obj, name).items()
+            ]
+            _publish(registry, spec["rows"], nested, names)
+            continue
+        if spec["metric"] is None:
+            continue
+        const = spec.get("const", {})
+        names += tuple(const)
+        counter = spec.get("kind", "counter") == "counter"
+        family = (registry.counter if counter else registry.gauge)(
+            spec["metric"], spec["help"], names
+        )
+        publish = family.set_total if counter else family.set
+        encode = spec.get("encode") or float
+        for values, obj in rows:
+            value = getattr(obj, name)
+            children = (
+                [((key,), child) for key, child in value.items()]
+                if label
+                else [((), value)]
+            )
+            for keys, child in children:
+                publish(encode(child), *values, *keys, *const.values())
+
+
 def server_metrics(
     server, registry: Optional[MetricsRegistry] = None
 ) -> MetricsRegistry:
     """Publish a server's full state into a :class:`MetricsRegistry`.
 
-    Bridges every siloed snapshot — :meth:`RuntimeServer.stats`
-    (requests, latency percentiles, tiers, batches, graphs,
-    speculation, per-kernel throughput), the process-wide compile
-    cache's :class:`~repro.compiler.cache.CacheStats`, and the attached
-    disk tier's :class:`~repro.runtime.diskcache.DiskCacheStats` — into
-    one registry whose :meth:`~MetricsRegistry.render` a ``/metrics``
+    Bridges every snapshot — :meth:`RuntimeServer.stats` (each family
+    its :class:`~repro.runtime.telemetry.RuntimeStats` fields declare),
+    the process-wide compile cache's
+    :class:`~repro.compiler.cache.CacheStats`, the attached disk tier's
+    :class:`~repro.runtime.diskcache.DiskCacheStats`, and the tracer,
+    flight recorder, profiler and SLO monitor when present — into one
+    registry whose :meth:`~MetricsRegistry.render` a ``/metrics``
     endpoint can serve. Call again with the same registry to refresh;
     counters re-publish via ``set_total`` so a snapshot that went
     backwards (two servers sharing one registry) fails loudly instead
@@ -385,7 +496,6 @@ def server_metrics(
     from repro.compiler.cache import compile_cache
 
     reg = registry if registry is not None else MetricsRegistry()
-    stats = server.stats()
 
     # Self-describing scrape: constant-1 gauge carrying the build
     # identity as labels, the standard Prometheus idiom for metadata.
@@ -395,218 +505,16 @@ def server_metrics(
         labels=("version", "python"),
     ).set(1, repro.__version__, platform.python_version())
 
-    requests = reg.counter(
-        "repro_requests_total", "Requests submitted to the runtime server."
-    )
-    requests.set_total(stats.requests)
-    completed = reg.counter(
-        "repro_requests_completed_total", "Requests served to completion."
-    )
-    completed.set_total(stats.completed)
-    failed = reg.counter(
-        "repro_requests_failed_total", "Requests that resolved with an error."
-    )
-    failed.set_total(stats.failed)
-    reg.gauge(
-        "repro_queue_depth", "Requests waiting in the priority queue."
-    ).set(stats.queue_depth)
-    reg.gauge(
-        "repro_uptime_seconds", "Server uptime at snapshot time."
-    ).set(stats.uptime_s)
-    batches = reg.counter(
-        "repro_batches_total", "Micro-batches executed."
-    )
-    batches.set_total(stats.batches)
-    reg.gauge(
-        "repro_batch_size_max", "Largest micro-batch served so far."
-    ).set(stats.max_batch_size)
-
-    tiers = reg.counter(
-        "repro_tier_requests_total",
-        "Completed requests by the cache tier that produced the kernel.",
-        labels=("tier",),
-    )
-    for tier, count in stats.tier_counts.items():
-        tiers.set_total(count, tier)
-
-    latency = reg.gauge(
-        "repro_request_latency_seconds",
-        "Request latency percentiles over the telemetry window.",
-        labels=("quantile",),
-    )
-    latency.set(stats.p50_latency_s, "0.5")
-    latency.set(stats.p95_latency_s, "0.95")
-
-    kernel_requests = reg.counter(
-        "repro_kernel_requests_total",
-        "Requests served per registered kernel.",
-        labels=("kernel",),
-    )
-    kernel_latency = reg.gauge(
-        "repro_kernel_latency_seconds",
-        "Per-kernel latency percentiles over the telemetry window.",
-        labels=("kernel", "quantile"),
-    )
-    for name, kernel in stats.per_kernel.items():
-        kernel_requests.set_total(kernel.requests, name)
-        kernel_latency.set(kernel.p50_latency_s, name, "0.5")
-        kernel_latency.set(kernel.p95_latency_s, name, "0.95")
-
-    graphs = reg.counter(
-        "repro_graphs_total", "Task graphs submitted."
-    )
-    graphs.set_total(stats.graphs)
-    reg.counter(
-        "repro_graphs_completed_total", "Task graphs completed."
-    ).set_total(stats.graphs_completed)
-    reg.counter(
-        "repro_graphs_failed_total", "Task graphs that failed."
-    ).set_total(stats.graphs_failed)
-    reg.counter(
-        "repro_graph_nodes_total", "Kernel launches submitted via graphs."
-    ).set_total(stats.graph_nodes)
-    makespan = reg.gauge(
-        "repro_graph_makespan_seconds",
-        "Graph makespan percentiles over the telemetry window.",
-        labels=("quantile",),
-    )
-    makespan.set(stats.p50_graph_makespan_s, "0.5")
-    makespan.set(stats.p95_graph_makespan_s, "0.95")
-
-    reg.counter(
-        "repro_speculative_compiles_total",
-        "Kernels compiled in the background by the speculator.",
-    ).set_total(stats.speculative_compiles)
-    reg.counter(
-        "repro_speculation_issued_total",
-        "Buckets precompiled speculatively.",
-    ).set_total(stats.speculation_issued)
-    reg.counter(
-        "repro_speculation_hits_total",
-        "Speculatively precompiled buckets that later saw real traffic.",
-    ).set_total(stats.speculation_hits)
-
-    reg.counter(
-        "repro_specialize_promotions_total",
-        "Shapes promoted to exact-shape specialized kernels.",
-    ).set_total(stats.promotions)
-    reg.counter(
-        "repro_specialize_deopts_total",
-        "Specializations deoptimized back to their generic bucket.",
-    ).set_total(stats.deopts)
-    reg.counter(
-        "repro_specialized_hits_total",
-        "Requests served by an exact-shape specialized kernel.",
-    ).set_total(stats.specialized_hits)
-    reg.counter(
-        "repro_specialize_errors_total",
-        "Specialized compiles that failed (shape quarantined).",
-    ).set_total(stats.specialize_errors)
-    reg.counter(
-        "repro_specialize_padded_flops_saved_total",
-        "Padded FLOPs avoided by serving specialized kernels.",
-    ).set_total(stats.padded_flops_saved)
-    reg.gauge(
-        "repro_specializations_active",
-        "Exact-shape specializations currently installed.",
-    ).set(stats.specializations_active)
-
-    reg.counter(
-        "repro_timeouts_total",
-        "Requests failed fast for missing their deadline.",
-    ).set_total(stats.timeouts)
-    reg.counter(
-        "repro_retries_total",
-        "Transient failures absorbed by the retry machinery.",
-    ).set_total(stats.retries)
-    reg.counter(
-        "repro_shed_requests_total",
-        "Queued requests evicted by bounded-queue load shedding.",
-    ).set_total(stats.shed_requests)
-    reg.counter(
-        "repro_loop_crashes_total",
-        "Background-loop crashes caught and restarted by supervision.",
-    ).set_total(stats.loop_crashes)
-    reg.counter(
-        "repro_degraded_serves_total",
-        "Requests served in a degraded mode (breaker open).",
-    ).set_total(stats.degraded_serves)
-    reg.counter(
-        "repro_breaker_trips_total",
-        "Circuit-breaker transitions to open.",
-    ).set_total(stats.breaker_trips)
-    breaker_state = reg.gauge(
-        "repro_breaker_state",
-        "Per-site breaker state: 0 closed, 1 half-open, 2 open.",
-        labels=("site",),
-    )
-    state_codes = {"closed": 0, "half-open": 1, "open": 2}
-    for site, state in stats.breaker_states.items():
-        breaker_state.set(state_codes.get(state, 2), site)
-
-    cache = compile_cache.stats
-    reg.counter(
-        "repro_compile_cache_hits_total", "In-memory compile-cache hits."
-    ).set_total(cache.hits)
-    reg.counter(
-        "repro_compile_cache_misses_total",
-        "Compile-cache misses (ran the full pass pipeline).",
-    ).set_total(cache.misses)
-    reg.counter(
-        "repro_compile_cache_second_tier_hits_total",
-        "Compile-cache lookups answered by the persistent tier.",
-    ).set_total(cache.second_tier_hits)
-    reg.counter(
-        "repro_compile_cache_evictions_total",
-        "Compile-cache LRU evictions.",
-    ).set_total(cache.evictions)
-    reg.gauge(
-        "repro_compile_cache_capacity", "Compile-cache entry capacity."
-    ).set(cache.capacity)
-
+    publish_stats(reg, server.stats())
+    publish_stats(reg, compile_cache.stats)
     if getattr(server, "disk_tier", None) is not None:
-        disk = server.disk_tier.stats
-        disk_ops = reg.counter(
-            "repro_disk_cache_ops_total",
-            "Disk-tier operations by outcome.",
-            labels=("op",),
-        )
-        disk_ops.set_total(disk.hits, "hit")
-        disk_ops.set_total(disk.misses, "miss")
-        disk_ops.set_total(disk.stores, "store")
-        disk_ops.set_total(disk.corrupt, "corrupt")
-        disk_ops.set_total(disk.errors, "error")
-        disk_ops.set_total(disk.pruned, "pruned")
-        reg.counter(
-            "repro_disk_cache_pruned_bytes_total",
-            "Bytes evicted by the disk tier's LRU budget.",
-        ).set_total(disk.pruned_bytes)
-        reg.gauge(
-            "repro_disk_cache_quarantined",
-            "Corrupt disk-tier entries retained as .bad postmortem "
-            "files.",
-        ).set(disk.corrupt_entries)
-
+        publish_stats(reg, server.disk_tier.stats)
     tracer = getattr(server, "tracer", None)
     if tracer is not None and tracer.enabled:
-        reg.counter(
-            "repro_trace_spans_total", "Finished trace spans recorded."
-        ).set_total(tracer.span_count)
-        reg.counter(
-            "repro_trace_spans_dropped_total",
-            "Finished spans evicted by the tracer's capacity bound.",
-        ).set_total(tracer.dropped)
-
+        publish_stats(reg, tracer)
     flight = getattr(server, "flight", None)
     if flight is not None:
-        reg.counter(
-            "repro_flight_records_total",
-            "Records appended to the flight recorder (retained or not).",
-        ).set_total(flight.recorded)
-        reg.counter(
-            "repro_flight_dumps_total",
-            "Flight-recorder dump files written (close, crash, manual).",
-        ).set_total(flight.dumps)
+        publish_stats(reg, flight)
 
     profiler = getattr(server, "profiler", None)
     if profiler is not None:

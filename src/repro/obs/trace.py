@@ -44,6 +44,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import CypressError
+from repro.obs.metrics import derived
 
 
 class Span:
@@ -326,14 +327,16 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    @property
+    @derived(None, "repro_trace_spans_total",
+             "Finished trace spans recorded.")
     def span_count(self) -> int:
         """Finished spans recorded over the tracer's lifetime
         (including any dropped by the bounded buffer)."""
         with self._lock:
             return self._recorded
 
-    @property
+    @derived(None, "repro_trace_spans_dropped_total",
+             "Finished spans evicted by the tracer's capacity bound.")
     def dropped(self) -> int:
         """Finished spans evicted by the capacity bound."""
         with self._lock:

@@ -28,6 +28,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, List, Optional
 
+from repro.obs.metrics import stat
+
+_OPS = "repro_disk_cache_ops_total"
+_OPS_HELP = "Disk-tier operations by outcome."
+
 
 @dataclass
 class DiskCacheStats:
@@ -41,14 +46,19 @@ class DiskCacheStats:
     the tier's ``max_quarantine``).
     """
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-    corrupt_entries: int = 0
-    errors: int = 0
-    pruned: int = 0
-    pruned_bytes: int = 0
+    hits: int = stat(None, _OPS, _OPS_HELP, 0, const={"op": "hit"})
+    misses: int = stat(None, _OPS, _OPS_HELP, 0, const={"op": "miss"})
+    stores: int = stat(None, _OPS, _OPS_HELP, 0, const={"op": "store"})
+    corrupt: int = stat(None, _OPS, _OPS_HELP, 0, const={"op": "corrupt"})
+    corrupt_entries: int = stat(
+        None, "repro_disk_cache_quarantined",
+        "Corrupt disk-tier entries retained as .bad postmortem files.", 0,
+        kind="gauge")
+    errors: int = stat(None, _OPS, _OPS_HELP, 0, const={"op": "error"})
+    pruned: int = stat(None, _OPS, _OPS_HELP, 0, const={"op": "pruned"})
+    pruned_bytes: int = stat(None, "repro_disk_cache_pruned_bytes_total",
+                             "Bytes evicted by the disk tier's LRU budget.",
+                             0)
 
     @property
     def lookups(self) -> int:

@@ -2,11 +2,18 @@
 
 The server feeds a thread-safe :class:`Telemetry` collector with one
 record per completed request (latency, which cache tier produced the
-kernel, micro-batch size, simulated throughput). :meth:`Telemetry.
-snapshot` freezes it into a :class:`RuntimeStats` value object with
-p50/p95 latency, per-tier hit rates, queue depth, and per-kernel
-request throughput — the numbers a serving dashboard would scrape, and
-what ``RuntimeStats.table()`` renders for humans.
+kernel, micro-batch size, simulated throughput) and bumps its other
+counters by name (:meth:`Telemetry.add`). :meth:`Telemetry.snapshot`
+freezes it into a :class:`RuntimeStats` value object with p50/p95
+latency, per-tier hit rates, queue depth, and per-kernel request
+throughput — the numbers a serving dashboard would scrape, and what
+``RuntimeStats.table()`` renders for humans.
+
+Every :class:`RuntimeStats` field is declared once, with its export
+spec (:func:`~repro.obs.metrics.stat`): its ``to_json`` path and its
+``/metrics`` family. The collector's counters,
+``to_json()`` and ``server.metrics()`` are all views of those
+declarations.
 
 Latencies are kept in bounded per-kernel windows (the most recent
 ``window`` observations) so a long-lived server's telemetry stays O(1)
@@ -15,12 +22,14 @@ in memory; counters are exact over the whole lifetime.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.metrics import derived, stat, stat_exports
 from repro.util import fmt_percent
 
 #: The cache tier that produced a request's kernel.
@@ -32,6 +41,29 @@ TIERS = (TIER_MEMORY, TIER_DISK, TIER_COMPILE)
 #: Version of the ``RuntimeStats.to_json()`` schema. Bump on any
 #: renamed/removed key; consumers (benchmarks, dashboards) key off it.
 STATS_SCHEMA_VERSION = 1
+
+#: ``to_json()`` sections, in document order.
+_JSON_SECTIONS = (
+    "runtime", "latency", "tiers", "graphs", "speculation",
+    "specialization", "obs", "resilience", "slo", "kernels",
+)
+
+_LATENCY_HELP = "Request latency percentiles over the telemetry window."
+_KERNEL_LATENCY_HELP = (
+    "Per-kernel latency percentiles over the telemetry window."
+)
+_MAKESPAN_HELP = "Graph makespan percentiles over the telemetry window."
+_BREAKER_CODES = {"closed": 0, "half-open": 1, "open": 2}
+_P50 = {"quantile": "0.5"}
+_P95 = {"quantile": "0.95"}
+
+#: A counter the :class:`Telemetry` collector accumulates.
+_count = functools.partial(stat, counted=True)
+
+
+def _breaker_code(state: str) -> int:
+    """A breaker state as its ``repro_breaker_state`` gauge value."""
+    return _BREAKER_CODES.get(state, _BREAKER_CODES["open"])
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -56,57 +88,149 @@ def percentile(values: Sequence[float], q: float) -> float:
 class KernelServingStats:
     """Per-kernel serving numbers in one snapshot."""
 
-    requests: int
-    p50_latency_s: float
-    p95_latency_s: float
+    requests: int = stat(None, "repro_kernel_requests_total",
+                         "Requests served per registered kernel.")
+    p50_latency_s: float = stat(None, "repro_kernel_latency_seconds",
+                                _KERNEL_LATENCY_HELP, kind="gauge",
+                                const=_P50)
+    p95_latency_s: float = stat(None, "repro_kernel_latency_seconds",
+                                _KERNEL_LATENCY_HELP, kind="gauge",
+                                const=_P95)
     throughput_rps: float
     mean_tflops: float
 
 
 @dataclass
 class RuntimeStats:
-    """A frozen view of the server's health at snapshot time."""
+    """A frozen view of the server's health at snapshot time.
 
-    uptime_s: float
-    requests: int
-    completed: int
-    failed: int
-    queue_depth: int
-    batches: int
-    max_batch_size: int
-    tier_counts: Dict[str, int]
-    p50_latency_s: float
-    p95_latency_s: float
-    per_kernel: Dict[str, KernelServingStats] = field(default_factory=dict)
-    graphs: int = 0
-    graphs_completed: int = 0
-    graphs_failed: int = 0
-    graph_nodes: int = 0
-    p50_graph_makespan_s: float = 0.0
-    p95_graph_makespan_s: float = 0.0
-    speculative_compiles: int = 0
-    speculation_issued: int = 0
-    speculation_hits: int = 0
-    specialized_hits: int = 0
-    promotions: int = 0
-    deopts: int = 0
-    specialize_errors: int = 0
-    padded_flops_saved: float = 0.0
-    trace_enabled: bool = False
-    trace_spans: int = 0
-    flight_records: int = 0
-    timeouts: int = 0
-    retries: int = 0
-    shed_requests: int = 0
-    loop_crashes: int = 0
-    degraded_serves: int = 0
-    breaker_trips: int = 0
-    breaker_states: Dict[str, str] = field(default_factory=dict)
-    #: Currently-firing SLO alerts (``{slo_name: severity}``) and the
-    #: latest slow-window burn rate per objective, from the server's
-    #: :class:`~repro.obs.slo.SloMonitor`; empty without one.
-    slo_alerts: Dict[str, str] = field(default_factory=dict)
-    slo_burn_rates: Dict[str, float] = field(default_factory=dict)
+    Each field is declared once: its ``to_json`` path, its ``/metrics``
+    family, and whether the :class:`Telemetry` collector counts it.
+    Exported properties sit among the fields in ``to_json`` key order.
+    """
+
+    uptime_s: float = stat("runtime", "repro_uptime_seconds",
+                           "Server uptime at snapshot time.", kind="gauge")
+    requests: int = _count("runtime", "repro_requests_total",
+                           "Requests submitted to the runtime server.")
+    completed: int = _count("runtime", "repro_requests_completed_total",
+                            "Requests served to completion.")
+    failed: int = _count("runtime", "repro_requests_failed_total",
+                         "Requests that resolved with an error.")
+    queue_depth: int = stat("runtime", "repro_queue_depth",
+                            "Requests waiting in the priority queue.",
+                            kind="gauge")
+    batches: int = _count("runtime", "repro_batches_total",
+                          "Micro-batches executed.")
+    max_batch_size: int = _count("runtime", "repro_batch_size_max",
+                                 "Largest micro-batch served so far.",
+                                 kind="gauge")
+
+    @derived("runtime")
+    def throughput_rps(self) -> float:
+        """Completed requests per second of uptime."""
+        return self.completed / self.uptime_s if self.uptime_s > 0 else 0.0
+
+    tier_counts: Dict[str, int] = stat(
+        None, "repro_tier_requests_total",
+        "Completed requests by the cache tier that produced the kernel.",
+        label="tier")
+    p50_latency_s: float = stat("latency.p50_s",
+                                "repro_request_latency_seconds",
+                                _LATENCY_HELP, kind="gauge", const=_P50)
+    p95_latency_s: float = stat("latency.p95_s",
+                                "repro_request_latency_seconds",
+                                _LATENCY_HELP, kind="gauge", const=_P95)
+    per_kernel: Dict[str, KernelServingStats] = stat(
+        label="kernel", rows=KernelServingStats, default_factory=dict)
+    graphs: int = _count("graphs.submitted", "repro_graphs_total",
+                         "Task graphs submitted.", 0)
+    graphs_completed: int = _count("graphs.completed",
+                                   "repro_graphs_completed_total",
+                                   "Task graphs completed.", 0)
+    graphs_failed: int = _count("graphs.failed", "repro_graphs_failed_total",
+                                "Task graphs that failed.", 0)
+    graph_nodes: int = _count("graphs.nodes", "repro_graph_nodes_total",
+                              "Kernel launches submitted via graphs.", 0)
+    p50_graph_makespan_s: float = stat("graphs.p50_makespan_s",
+                                       "repro_graph_makespan_seconds",
+                                       _MAKESPAN_HELP, 0.0, kind="gauge",
+                                       const=_P50)
+    p95_graph_makespan_s: float = stat("graphs.p95_makespan_s",
+                                       "repro_graph_makespan_seconds",
+                                       _MAKESPAN_HELP, 0.0, kind="gauge",
+                                       const=_P95)
+    speculative_compiles: int = _count(
+        "speculation.compiles", "repro_speculative_compiles_total",
+        "Kernels compiled in the background by the speculator.", 0)
+    speculation_issued: int = _count(
+        "speculation.issued", "repro_speculation_issued_total",
+        "Buckets precompiled speculatively.", 0)
+    speculation_hits: int = _count(
+        "speculation.hits", "repro_speculation_hits_total",
+        "Speculatively precompiled buckets that later saw real traffic.", 0)
+
+    @derived("speculation.wasted")
+    def speculation_wasted(self) -> int:
+        """Speculatively precompiled buckets never requested (so far)."""
+        return max(self.speculation_issued - self.speculation_hits, 0)
+
+    @derived("speculation.wasted_ratio")
+    def speculation_wasted_ratio(self) -> float:
+        """Wasted fraction of speculatively precompiled buckets."""
+        if not self.speculation_issued:
+            return 0.0
+        return self.speculation_wasted / self.speculation_issued
+
+    specialized_hits: int = _count(
+        "specialization.hits", "repro_specialized_hits_total",
+        "Requests served by an exact-shape specialized kernel.", 0)
+    promotions: int = _count(
+        "specialization", "repro_specialize_promotions_total",
+        "Shapes promoted to exact-shape specialized kernels.", 0)
+    deopts: int = _count(
+        "specialization", "repro_specialize_deopts_total",
+        "Specializations deoptimized back to their generic bucket.", 0)
+    specialize_errors: int = _count(
+        "specialization.errors", "repro_specialize_errors_total",
+        "Specialized compiles that failed (shape quarantined).", 0)
+
+    @derived("specialization.active", "repro_specializations_active",
+             "Exact-shape specializations currently installed.",
+             kind="gauge")
+    def specializations_active(self) -> int:
+        """Exact-shape specializations currently installed (promotions
+        minus deoptimizations)."""
+        return max(self.promotions - self.deopts, 0)
+
+    padded_flops_saved: float = _count(
+        "specialization", "repro_specialize_padded_flops_saved_total",
+        "Padded FLOPs avoided by serving specialized kernels.", 0.0)
+    trace_enabled: bool = stat("obs", default=False)
+    trace_spans: int = stat("obs", default=0)
+    flight_records: int = stat("obs", default=0)
+    timeouts: int = _count(
+        "resilience", "repro_timeouts_total",
+        "Requests failed fast for missing their deadline.", 0)
+    retries: int = _count(
+        "resilience", "repro_retries_total",
+        "Transient failures absorbed by the retry machinery.", 0)
+    shed_requests: int = _count(
+        "resilience", "repro_shed_requests_total",
+        "Queued requests evicted by bounded-queue load shedding.", 0)
+    loop_crashes: int = _count(
+        "resilience", "repro_loop_crashes_total",
+        "Background-loop crashes caught and restarted by supervision.", 0)
+    degraded_serves: int = _count(
+        "resilience", "repro_degraded_serves_total",
+        "Requests served in a degraded mode (breaker open).", 0)
+    breaker_trips: int = _count("resilience", "repro_breaker_trips_total",
+                                "Circuit-breaker transitions to open.", 0)
+    breaker_states: Dict[str, str] = stat(
+        "resilience", "repro_breaker_state",
+        "Per-site breaker state: 0 closed, 1 half-open, 2 open.",
+        kind="gauge", label="site", encode=_breaker_code,
+        default_factory=dict)
 
     @property
     def breakers_open(self) -> int:
@@ -115,28 +239,12 @@ class RuntimeStats:
             1 for state in self.breaker_states.values() if state != "closed"
         )
 
-    @property
-    def speculation_wasted(self) -> int:
-        """Speculatively precompiled buckets never requested (so far)."""
-        return max(self.speculation_issued - self.speculation_hits, 0)
-
-    @property
-    def speculation_wasted_ratio(self) -> float:
-        """Wasted fraction of speculatively precompiled buckets."""
-        if not self.speculation_issued:
-            return 0.0
-        return self.speculation_wasted / self.speculation_issued
-
-    @property
-    def specializations_active(self) -> int:
-        """Exact-shape specializations currently installed (promotions
-        minus deoptimizations)."""
-        return max(self.promotions - self.deopts, 0)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per second of uptime."""
-        return self.completed / self.uptime_s if self.uptime_s > 0 else 0.0
+    #: Currently-firing SLO alerts (``{slo_name: severity}``) and the
+    #: latest slow-window burn rate per objective, from the server's
+    #: :class:`~repro.obs.slo.SloMonitor`; empty without one.
+    slo_alerts: Dict[str, str] = stat("slo.alerts", default_factory=dict)
+    slo_burn_rates: Dict[str, float] = stat("slo.burn_rates",
+                                            default_factory=dict)
 
     def tier_rate(self, tier: str) -> float:
         """Fraction of completed requests served by ``tier`` (0.0-1.0)."""
@@ -151,82 +259,28 @@ class RuntimeStats:
         ingest it directly, instead of plucking ad-hoc fields off the
         dataclass. The layout is a contract — ``schema_version``
         (:data:`STATS_SCHEMA_VERSION`) bumps on any renamed or removed
-        key, and every value is a JSON-native scalar/dict.
+        key, and every value is a JSON-native scalar/dict. Values sit
+        at their declared paths; only ``tiers`` and ``kernels`` are
+        laid out here.
         """
-        return {
-            "schema_version": STATS_SCHEMA_VERSION,
-            "runtime": {
-                "uptime_s": self.uptime_s,
-                "requests": self.requests,
-                "completed": self.completed,
-                "failed": self.failed,
-                "queue_depth": self.queue_depth,
-                "batches": self.batches,
-                "max_batch_size": self.max_batch_size,
-                "throughput_rps": self.throughput_rps,
-            },
-            "latency": {
-                "p50_s": self.p50_latency_s,
-                "p95_s": self.p95_latency_s,
-            },
-            "tiers": {
-                "counts": {
-                    tier: self.tier_counts.get(tier, 0) for tier in TIERS
-                },
-                "rates": {tier: self.tier_rate(tier) for tier in TIERS},
-            },
-            "graphs": {
-                "submitted": self.graphs,
-                "completed": self.graphs_completed,
-                "failed": self.graphs_failed,
-                "nodes": self.graph_nodes,
-                "p50_makespan_s": self.p50_graph_makespan_s,
-                "p95_makespan_s": self.p95_graph_makespan_s,
-            },
-            "speculation": {
-                "compiles": self.speculative_compiles,
-                "issued": self.speculation_issued,
-                "hits": self.speculation_hits,
-                "wasted": self.speculation_wasted,
-                "wasted_ratio": self.speculation_wasted_ratio,
-            },
-            "specialization": {
-                "hits": self.specialized_hits,
-                "promotions": self.promotions,
-                "deopts": self.deopts,
-                "errors": self.specialize_errors,
-                "active": self.specializations_active,
-                "padded_flops_saved": self.padded_flops_saved,
-            },
-            "obs": {
-                "trace_enabled": self.trace_enabled,
-                "trace_spans": self.trace_spans,
-                "flight_records": self.flight_records,
-            },
-            "resilience": {
-                "timeouts": self.timeouts,
-                "retries": self.retries,
-                "shed_requests": self.shed_requests,
-                "loop_crashes": self.loop_crashes,
-                "degraded_serves": self.degraded_serves,
-                "breaker_trips": self.breaker_trips,
-                "breaker_states": dict(sorted(self.breaker_states.items())),
-            },
-            "slo": {
-                "alerts": dict(sorted(self.slo_alerts.items())),
-                "burn_rates": dict(sorted(self.slo_burn_rates.items())),
-            },
-            "kernels": {
-                name: {
-                    "requests": k.requests,
-                    "p50_latency_s": k.p50_latency_s,
-                    "p95_latency_s": k.p95_latency_s,
-                    "throughput_rps": k.throughput_rps,
-                    "mean_tflops": k.mean_tflops,
-                }
-                for name, k in sorted(self.per_kernel.items())
-            },
+        payload: Dict = {"schema_version": STATS_SCHEMA_VERSION}
+        payload.update((section, {}) for section in _JSON_SECTIONS)
+        for name, spec in stat_exports(RuntimeStats):
+            if spec["path"]:
+                section, _, key = spec["path"].partition(".")
+                value = getattr(self, name)
+                if isinstance(value, dict):
+                    value = dict(sorted(value.items()))
+                payload[section][key or name] = value
+        payload["tiers"] = {
+            "counts": {tier: self.tier_counts.get(tier, 0) for tier in TIERS},
+            "rates": {tier: self.tier_rate(tier) for tier in TIERS},
         }
+        payload["kernels"] = {
+            name: asdict(row)
+            for name, row in sorted(self.per_kernel.items())
+        }
+        return payload
 
     def table(self) -> str:
         """A human-readable dashboard, one kernel per row.
@@ -326,53 +380,49 @@ class _KernelWindow:
         self.tflops_sum = 0.0
 
 
+#: The counted :class:`RuntimeStats` fields and their starting values.
+_COUNTERS = {
+    f.name: 0 if f.default is MISSING else f.default
+    for f in fields(RuntimeStats)
+    if f.metadata.get("counted")
+}
+
+
 class Telemetry:
-    """The live, thread-safe collector behind ``RuntimeServer.stats()``."""
+    """The live, thread-safe collector behind ``RuntimeServer.stats()``.
+
+    Every counted :class:`RuntimeStats` field lives in one dict under
+    one lock; :meth:`add` bumps any of them by name, and the
+    ``record_*`` methods update the few that move together.
+    """
 
     def __init__(self, window: int = 2048) -> None:
         self._window = window
         self._lock = threading.Lock()
         self._started = time.perf_counter()
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._batches = 0
-        self._max_batch = 0
+        self._counts = dict(_COUNTERS)
         self._tiers: Dict[str, int] = {tier: 0 for tier in TIERS}
         self._kernels: Dict[str, _KernelWindow] = {}
-        self._graphs = 0
-        self._graphs_completed = 0
-        self._graphs_failed = 0
-        self._graph_nodes = 0
         self._graph_makespans: deque = deque(maxlen=window)
         self._bucket_traffic: Dict[tuple, int] = {}
         self._shape_traffic: Dict[tuple, float] = {}
-        self._spec_compiles = 0
-        self._spec_issued = 0
-        self._spec_hits = 0
-        self._specialized_hits = 0
-        self._promotions = 0
-        self._deopts = 0
-        self._specialize_errors = 0
-        self._padded_flops_saved = 0.0
-        self._timeouts = 0
-        self._retries = 0
-        self._shed = 0
-        self._loop_crashes = 0
-        self._degraded = 0
-        self._breaker_trips = 0
 
     @property
     def completed_count(self) -> int:
         """Completed requests so far (cheap readiness probe; no
         snapshot materialization)."""
         with self._lock:
-            return self._completed
+            return self._counts["completed"]
 
-    def record_submit(self, count: int = 1) -> None:
-        """Count ``count`` requests entering the queue."""
+    def add(self, name: str, n: float = 1) -> None:
+        """Add ``n`` to the counted :class:`RuntimeStats` field ``name``
+        (``"requests"``, ``"failed"``, ``"retries"``, ...).
+
+        Raises:
+            KeyError: ``name`` is not a counted field.
+        """
         with self._lock:
-            self._submitted += count
+            self._counts[name] += n
 
     def record_bucket_traffic(
         self,
@@ -433,87 +483,19 @@ class Telemetry:
         with self._lock:
             self._shape_traffic.pop(key, None)
 
-    def record_speculation(self, compiles: int, buckets: int = 0) -> None:
-        """Record speculative work: ``compiles`` kernels built in the
-        background, covering ``buckets`` newly precompiled buckets."""
-        with self._lock:
-            self._spec_compiles += compiles
-            self._spec_issued += buckets
-
-    def record_speculation_hit(self) -> None:
-        """Count one speculatively precompiled bucket receiving its
-        first real request (at most once per bucket)."""
-        with self._lock:
-            self._spec_hits += 1
-
     def record_specialized_hit(self, flops_saved: float = 0.0) -> None:
         """Count one request served by an exact-shape specialized
         kernel, saving ``flops_saved`` padded FLOPs of bucket waste."""
         with self._lock:
-            self._specialized_hits += 1
-            self._padded_flops_saved += flops_saved
-
-    def record_promotion(self) -> None:
-        """Count one shape promoted to an exact-shape specialization."""
-        with self._lock:
-            self._promotions += 1
-
-    def record_deopt(self) -> None:
-        """Count one specialization deoptimized back to its bucket."""
-        with self._lock:
-            self._deopts += 1
-
-    def record_specialize_error(self) -> None:
-        """Count one failed specialized compile (shape quarantined)."""
-        with self._lock:
-            self._specialize_errors += 1
-
-    def record_timeout(self, count: int = 1) -> None:
-        """Count ``count`` requests failed by deadline enforcement
-        (also counted in ``failed`` by the caller)."""
-        with self._lock:
-            self._timeouts += count
-
-    def record_retry(self, count: int = 1) -> None:
-        """Count ``count`` transient failures absorbed by the retry
-        machinery (compile, disk tier, worker execute). Every observed
-        transient fault is counted — including the final attempt's —
-        so under fault injection ``retries`` is at least the number of
-        transient faults seen."""
-        with self._lock:
-            self._retries += count
-
-    def record_shed(self, count: int = 1) -> None:
-        """Count ``count`` requests shed by queue admission control
-        (bounded queue, drop-oldest policy). Shed requests are *not*
-        counted in ``failed``: ``shed + completed + failed`` accounts
-        for every admitted submit."""
-        with self._lock:
-            self._shed += count
-
-    def record_loop_crash(self) -> None:
-        """Count one background-loop crash (the supervisor restarts
-        the loop with capped backoff)."""
-        with self._lock:
-            self._loop_crashes += 1
-
-    def record_degraded(self, count: int = 1) -> None:
-        """Count ``count`` requests served in degraded mode (memory-only
-        after a disk-breaker trip, or generic-bucket fallback after a
-        compile-breaker trip)."""
-        with self._lock:
-            self._degraded += count
-
-    def record_breaker_trip(self) -> None:
-        """Count one circuit breaker tripping open."""
-        with self._lock:
-            self._breaker_trips += 1
+            self._counts["specialized_hits"] += 1
+            self._counts["padded_flops_saved"] += flops_saved
 
     def record_batch(self, size: int) -> None:
         """Count one micro-batch of ``size`` requests."""
         with self._lock:
-            self._batches += 1
-            self._max_batch = max(self._max_batch, size)
+            counts = self._counts
+            counts["batches"] += 1
+            counts["max_batch_size"] = max(counts["max_batch_size"], size)
 
     def record_result(
         self, kernel: str, latency_s: float, tier: str, tflops: float
@@ -527,7 +509,7 @@ class Telemetry:
             tflops: simulated throughput of the serving kernel.
         """
         with self._lock:
-            self._completed += 1
+            self._counts["completed"] += 1
             self._tiers[tier] = self._tiers.get(tier, 0) + 1
             window = self._kernels.get(kernel)
             if window is None:
@@ -536,49 +518,32 @@ class Telemetry:
             window.latencies.append(latency_s)
             window.tflops_sum += tflops
 
-    def record_failure(self, count: int = 1) -> None:
-        """Count ``count`` failed requests."""
-        with self._lock:
-            self._failed += count
-
     def record_graph_submit(self, nodes: int) -> None:
         """Count one submitted task graph of ``nodes`` launches."""
         with self._lock:
-            self._graphs += 1
-            self._graph_nodes += nodes
+            self._counts["graphs"] += 1
+            self._counts["graph_nodes"] += nodes
 
     def record_graph_done(self, makespan_s: float) -> None:
         """Record one completed graph's submit-to-last-node wall time."""
         with self._lock:
-            self._graphs_completed += 1
+            self._counts["graphs_completed"] += 1
             self._graph_makespans.append(makespan_s)
 
     def record_graph_failure(self) -> None:
         """Count one graph whose execution failed."""
         with self._lock:
-            self._graphs_failed += 1
+            self._counts["graphs_failed"] += 1
 
-    def snapshot(
-        self,
-        queue_depth: int = 0,
-        trace_enabled: bool = False,
-        trace_spans: int = 0,
-        flight_records: int = 0,
-        breaker_states: Optional[Dict[str, str]] = None,
-        slo_alerts: Optional[Dict[str, str]] = None,
-        slo_burn_rates: Optional[Dict[str, float]] = None,
-    ) -> RuntimeStats:
+    def snapshot(self, queue_depth: int = 0, **live) -> RuntimeStats:
         """Freeze the collector into a :class:`RuntimeStats` value.
 
         Args:
             queue_depth: current queue depth to embed in the snapshot.
-            trace_enabled: whether the owning server has a live tracer.
-            trace_spans: finished spans the tracer has recorded.
-            flight_records: records appended to the flight recorder.
-            breaker_states: site -> circuit-breaker state at snapshot
-                time (the server passes its live breaker registry).
-            slo_alerts: currently-firing SLO alerts by objective name.
-            slo_burn_rates: slow-window burn rate per objective.
+            **live: the other fields only the owning server knows at
+                snapshot time (``trace_enabled``, ``trace_spans``,
+                ``flight_records``, ``breaker_states``, ``slo_alerts``,
+                ``slo_burn_rates``); omitted ones keep their defaults.
 
         Returns:
             An immutable view; the collector keeps accumulating.
@@ -606,40 +571,13 @@ class Telemetry:
             makespans = list(self._graph_makespans)
             return RuntimeStats(
                 uptime_s=uptime,
-                requests=self._submitted,
-                completed=self._completed,
-                failed=self._failed,
                 queue_depth=queue_depth,
-                batches=self._batches,
-                max_batch_size=self._max_batch,
                 tier_counts=dict(self._tiers),
                 p50_latency_s=percentile(all_latencies, 50),
                 p95_latency_s=percentile(all_latencies, 95),
                 per_kernel=per_kernel,
-                graphs=self._graphs,
-                graphs_completed=self._graphs_completed,
-                graphs_failed=self._graphs_failed,
-                graph_nodes=self._graph_nodes,
                 p50_graph_makespan_s=percentile(makespans, 50),
                 p95_graph_makespan_s=percentile(makespans, 95),
-                speculative_compiles=self._spec_compiles,
-                speculation_issued=self._spec_issued,
-                speculation_hits=self._spec_hits,
-                specialized_hits=self._specialized_hits,
-                promotions=self._promotions,
-                deopts=self._deopts,
-                specialize_errors=self._specialize_errors,
-                padded_flops_saved=self._padded_flops_saved,
-                trace_enabled=trace_enabled,
-                trace_spans=trace_spans,
-                flight_records=flight_records,
-                timeouts=self._timeouts,
-                retries=self._retries,
-                shed_requests=self._shed,
-                loop_crashes=self._loop_crashes,
-                degraded_serves=self._degraded,
-                breaker_trips=self._breaker_trips,
-                breaker_states=dict(breaker_states or {}),
-                slo_alerts=dict(slo_alerts or {}),
-                slo_burn_rates=dict(slo_burn_rates or {}),
+                **self._counts,
+                **live,
             )

@@ -12,9 +12,12 @@ invariants so documentation cannot silently regress:
    ``repro.tensors.regions`` (and their public methods) carries a
    non-empty docstring;
 2. every intra-repo markdown link in ``README.md``, ``docs/``, and the
-   other root guides resolves to an existing file.
+   other root guides resolves to an existing file;
+3. the ``RuntimeStats`` table in ``docs/serving.md`` names every field
+   and public property of the dataclass.
 """
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -35,6 +38,7 @@ import repro.runtime.specialize
 import repro.runtime.speculate
 import repro.tensors.regions
 import repro.tuner
+from repro.runtime.telemetry import RuntimeStats
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -160,3 +164,30 @@ class TestMarkdownLinks:
             "docs/serving.md",
         ):
             assert guide in readme, f"README must link {guide}"
+
+
+def _documented_stats(heading):
+    """Names in the first column of the table under ``heading`` in
+    ``docs/serving.md``."""
+    text = (REPO_ROOT / "docs" / "serving.md").read_text()
+    section = text.split(heading, 1)[1].split("\n#", 1)[0]
+    names = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names.update(re.findall(r"`(\w+)", line.split("|")[1]))
+    return names
+
+
+class TestStatsReference:
+    def test_runtime_stats_table_names_every_field_and_property(self):
+        public = {field.name for field in dataclasses.fields(RuntimeStats)}
+        public |= {
+            name
+            for name, member in vars(RuntimeStats).items()
+            if isinstance(member, property) and not name.startswith("_")
+        }
+        documented = _documented_stats("### `RuntimeStats`")
+        missing = sorted(public - documented)
+        assert not missing, (
+            f"docs/serving.md RuntimeStats table lacks {missing}"
+        )

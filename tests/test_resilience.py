@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
+from repro.compiler.cache import compile_cache
 from repro.errors import CypressError, TransientError
 from repro.kernels import build_gemm
 from repro.runtime import (
@@ -793,6 +794,27 @@ class TestSoak:
             dict(m=256, n=256, k=64),
             dict(m=128, n=256, k=128),
         ]
+        # A server leaked by an earlier example would keep its
+        # ResilientTier attached to the process-wide cache and count
+        # this example's disk faults on its own telemetry.
+        assert faults.ACTIVE is None
+        assert compile_cache.second_tier is None
+        # Draw everything first: hypothesis may abort the example inside
+        # a draw, which must not happen while a server is running.
+        requests = [
+            (
+                shapes[
+                    data.draw(
+                        st.integers(0, len(shapes) - 1),
+                        label=f"shape[{index}]",
+                    )
+                ],
+                0.0
+                if data.draw(st.booleans(), label=f"expired[{index}]")
+                else None,
+            )
+            for index in range(n_requests)
+        ]
         plan = FaultPlan(seed=seed)
         for site in RETRY_SITES:
             plan.inject(site, rate)
@@ -814,24 +836,13 @@ class TestSoak:
                     disk_cache=disk,
                     resilience=config,
                 )
-                for index in range(n_requests):
-                    shape = shapes[
-                        data.draw(
-                            st.integers(0, len(shapes) - 1),
-                            label=f"shape[{index}]",
+                try:
+                    for shape, deadline in requests:
+                        futures.append(
+                            server.submit("gemm", shape, deadline=deadline)
                         )
-                    ]
-                    deadline = (
-                        0.0
-                        if data.draw(
-                            st.booleans(), label=f"expired[{index}]"
-                        )
-                        else None
-                    )
-                    futures.append(
-                        server.submit("gemm", shape, deadline=deadline)
-                    )
-                server.close(drain=True)
+                finally:
+                    server.close(drain=True)
             stats = server.stats()
         finally:
             tmp.cleanup()
