@@ -19,7 +19,9 @@ with ``load(key) -> kernel | None`` and ``store(key, kernel)`` (see
 :class:`SecondTier`). The runtime attaches a persistent on-disk tier
 (:class:`repro.runtime.diskcache.DiskCacheTier`) so a restarted server
 warms from disk instead of recompiling; ``get_or_compute`` consults it
-on a memory miss and writes freshly compiled kernels through to it.
+on a memory miss, writes freshly compiled kernels through to it, and
+names the tier that answered (:data:`TIER_MEMORY`, :data:`TIER_DISK`
+or :data:`TIER_COMPILE`).
 
 Cached kernels are shared objects; treat them as immutable.
 """
@@ -42,6 +44,12 @@ CACHE_SIZE_ENV = "REPRO_COMPILE_CACHE_SIZE"
 
 #: Capacity used when the environment variable is unset.
 DEFAULT_CAPACITY = 256
+
+#: The tier that answered a :meth:`CompileCache.get_or_compute` lookup.
+TIER_MEMORY = "memory"
+TIER_DISK = "disk"
+TIER_COMPILE = "compile"
+TIERS = (TIER_MEMORY, TIER_DISK, TIER_COMPILE)
 
 
 class SecondTier:
@@ -203,12 +211,17 @@ class CompileCache:
         """In-memory lookup only (the second tier is consulted solely by
         :meth:`get_or_compute`, which can populate memory on a tier hit)."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return self._entries[key]
-            self.stats.misses += 1
-            return None
+            kernel = self._hit_locked(key)
+            if kernel is None:
+                self.stats.misses += 1
+            return kernel
+
+    def _hit_locked(self, key: str) -> Optional[Any]:
+        kernel = self._entries.get(key)
+        if kernel is not None:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+        return kernel
 
     def put(self, key: str, kernel: Any) -> None:
         with self._lock:
@@ -232,48 +245,48 @@ class CompileCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def get_or_compute(self, key: str, compute) -> Any:
-        """Return the kernel for ``key``, computing it at most once
-        across threads.
+    def get_or_compute(self, key: str, compute) -> Tuple[Any, str]:
+        """Return ``(kernel, tier)`` for ``key``, computing the kernel at
+        most once across threads; ``tier`` names who answered.
 
-        Lookup order: in-memory LRU, then the attached second tier (a
-        tier hit is promoted into memory), then ``compute``. Freshly
-        computed kernels are written through to the second tier.
-        Concurrent callers with the same key (a batch compilation with
-        duplicate builds, overlapping tuning sweeps) serialize on a
-        per-key lock: one runs ``compute``, the rest wait and take the
-        result as a hit instead of re-running the pass pipeline.
+        Lookup order: in-memory LRU (:data:`TIER_MEMORY`), then the
+        attached second tier (:data:`TIER_DISK`; the hit is promoted into
+        memory), then ``compute`` (:data:`TIER_COMPILE`; the kernel is
+        written through to the second tier). Concurrent callers with the
+        same key (a batch compilation with duplicate builds, overlapping
+        tuning sweeps) serialize on a per-key lock: one runs ``compute``
+        and reports ``TIER_COMPILE``, the rest wait and take the result
+        as a memory hit instead of re-running the pass pipeline.
         """
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return self._entries[key]
+            kernel = self._hit_locked(key)
+            if kernel is not None:
+                return kernel, TIER_MEMORY
             key_lock = self._in_flight.setdefault(key, threading.Lock())
         with key_lock:
-            with self._lock:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    return self._entries[key]
-                tier = self._second_tier
-            if tier is not None:
-                value = tier.load(key)
-                if value is not None:
-                    with self._lock:
-                        self.stats.second_tier_hits += 1
-                        self._put_locked(key, value)
-                        self._in_flight.pop(key, None)
-                    return value
-            with self._lock:
-                self.stats.misses += 1
-            value = compute()
-            self.put(key, value)
-            if tier is not None:
-                tier.store(key, value)
-            with self._lock:
-                self._in_flight.pop(key, None)
-            return value
+            try:
+                with self._lock:
+                    kernel = self._hit_locked(key)
+                    if kernel is not None:
+                        return kernel, TIER_MEMORY
+                    second = self._second_tier
+                if second is not None:
+                    kernel = second.load(key)
+                    if kernel is not None:
+                        with self._lock:
+                            self.stats.second_tier_hits += 1
+                            self._put_locked(key, kernel)
+                        return kernel, TIER_DISK
+                with self._lock:
+                    self.stats.misses += 1
+                kernel = compute()
+                self.put(key, kernel)
+                if second is not None:
+                    second.store(key, kernel)
+                return kernel, TIER_COMPILE
+            finally:
+                with self._lock:
+                    self._in_flight.pop(key, None)
 
     def clear(self) -> None:
         """Drop in-memory entries and counters (the second tier keeps

@@ -108,7 +108,8 @@ def compile_program(
         return compute()
     # get_or_compute dedupes concurrent compilations of the same key
     # (duplicate builds in one compile_many batch, overlapping sweeps).
-    return compile_cache.get_or_compute(key, compute)
+    kernel, _tier = compile_cache.get_or_compute(key, compute)
+    return kernel
 
 
 def compile_key_for(build, options: Optional[CompileOptions] = None) -> str:
@@ -116,9 +117,9 @@ def compile_key_for(build, options: Optional[CompileOptions] = None) -> str:
 
     Folds the build's ``scalar_args`` into ``options`` exactly the way
     ``api.compile_kernel`` + ``compile_program`` do, so callers that
-    need the key without compiling (the serving runtime's cache-tier
-    attribution and explicit disk persistence) can never diverge from
-    the key the compile path caches under.
+    look the build up in the compile cache themselves (the serving
+    runtime) can never diverge from the key the compile path caches
+    under.
     """
     merged = _merge_options(options, build.scalar_args, None)
     return compile_key(

@@ -36,12 +36,12 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compiler.cache import compile_cache
+from repro.compiler.cache import TIER_COMPILE, TIER_MEMORY, compile_cache
 from repro.compiler.passes import CompileOptions
 from repro.compiler.pipeline import compile_key_for
 from repro.errors import CypressError
@@ -70,13 +70,7 @@ from repro.runtime.registry import (
 )
 from repro.runtime.specialize import ShapeSpecializer, SpecializerConfig
 from repro.runtime.speculate import Speculator, SpeculatorConfig
-from repro.runtime.telemetry import (
-    TIER_COMPILE,
-    TIER_DISK,
-    TIER_MEMORY,
-    RuntimeStats,
-    Telemetry,
-)
+from repro.runtime.telemetry import RuntimeStats, Telemetry
 from repro.tuner import MappingSearchSpace, autotune
 
 ShapeLike = Union[Mapping[str, int], Sequence[int]]
@@ -95,9 +89,12 @@ class RuntimeResult:
     ``gpu`` is the simulated execution of the *bucket* kernel (identical
     to a direct ``compile_kernel`` + ``simulate`` of the bucket shape);
     ``outputs`` are the functional results when the request carried
-    inputs. ``tier`` records which cache tier produced the compiled
-    kernel — ``"memory"``, ``"disk"``, or ``"compile"`` — and
-    ``batch_size`` how many requests shared this compile + simulation.
+    inputs. ``tier`` is the compile-cache tier that answered this
+    batch's kernel lookup — ``"memory"``, ``"disk"``, or ``"compile"``
+    (a corrupt disk entry that was recompiled reports ``"compile"``;
+    a request that waited on another thread's compile of the same key
+    reports ``"memory"``) — and ``batch_size`` how many requests
+    shared this compile + simulation.
     """
 
     kernel: str
@@ -776,13 +773,8 @@ class RuntimeServer:
                 self._tune_bucket(
                     registered, bucket, space, max_workers, top_k
                 )
-            compiled, _tier, key = self._obtain_kernel(registered, bucket)
-            if self.disk_tier is not None and not self.disk_tier.contains(
-                key
-            ):
-                # A memory hit skips write-through; persist explicitly so
-                # a restart can warm from disk regardless.
-                self.disk_tier.store(key, compiled)
+            compiled, tier, key = self._obtain_kernel(registered, bucket)
+            self._persist(compiled, tier, key)
             self._warmed[memo_key] = compiled.name
             warmed[bucket.label()] = compiled.name
         return warmed
@@ -869,10 +861,18 @@ class RuntimeServer:
     def _obtain_kernel(
         self, registered: RegisteredKernel, bucket: Bucket
     ) -> Tuple[Any, str, str]:
-        """Compile (or fetch) the bucket's kernel; returns
-        ``(kernel, tier, compile_key)``.
+        """Build the bucket's kernel (with its pinned parameters) and
+        :meth:`_resolve` it; returns ``(kernel, tier, compile_key)``."""
+        params = self._bucket_params.get((registered.name, bucket))
+        build = registered.build(self.machine, bucket, params)
+        return self._resolve(registered.name, build)
 
-        Actual compiles (both cache tiers missed) run under the
+    def _resolve(self, name: str, build: Any) -> Tuple[Any, str, str]:
+        """Look ``build`` up in the compile cache under one key; returns
+        ``(kernel, tier, compile_key)``, where ``tier`` is the tier that
+        answered.
+
+        Only a real compile (both cache tiers missed) runs, under the
         kernel's ``compile:<name>`` circuit breaker and the configured
         retry policy, with the ``compile`` fault site armed inside the
         retried attempt. Cache hits skip all of it — the hot path cost
@@ -885,46 +885,52 @@ class RuntimeServer:
         """
         from repro import api
 
-        params = self._bucket_params.get((registered.name, bucket))
-        build = registered.build(self.machine, bucket, params)
         key = compile_key_for(build, self._options)
-        # Tier attribution is advisory (another thread may compile the
-        # same key concurrently); the compile itself always goes through
-        # get_or_compute, which deduplicates.
-        if key in compile_cache:
-            tier = TIER_MEMORY
-        elif self.disk_tier is not None and self.disk_tier.contains(key):
-            tier = TIER_DISK
-        else:
-            tier = TIER_COMPILE
-        if tier != TIER_COMPILE:
-            kernel = api.compile_kernel(build, options=self._options)
-            return kernel, tier, key
-        breaker = self._breaker(f"compile:{registered.name}")
-        if not breaker.allow():
-            raise BreakerOpen(breaker.site)
-        plan = faults.ACTIVE
 
-        def attempt() -> Any:
-            if plan is not None:
-                plan.check("compile", registered.name)
-            return api.compile_kernel(build, options=self._options)
+        def compute() -> Any:
+            breaker = self._breaker(f"compile:{name}")
+            if not breaker.allow():
+                raise BreakerOpen(breaker.site)
+            plan = faults.ACTIVE
+            # This lookup is the cache: the compile itself must not
+            # cache the kernel again (the flag is not part of the key).
+            options = replace(self._options, cache=False)
 
-        try:
-            kernel = call_with_retry(
-                attempt,
-                self.resilience.retry,
-                salt=f"compile:{key}",
-                on_retry=self._on_retry,
-            )
-        except Exception:
-            # Transient or deterministic: a kernel whose compiles keep
-            # failing is broken either way, and fail-fast beats
-            # repeating the failure under every future request.
-            breaker.record_failure()
-            raise
-        breaker.record_success()
+            def attempt() -> Any:
+                if plan is not None:
+                    plan.check("compile", name)
+                return api.compile_kernel(build, options=options)
+
+            try:
+                kernel = call_with_retry(
+                    attempt,
+                    self.resilience.retry,
+                    salt=f"compile:{key}",
+                    on_retry=self._on_retry,
+                )
+            except Exception:
+                # Transient or deterministic: a kernel whose compiles
+                # keep failing is broken either way, and fail-fast beats
+                # repeating the failure under every future request.
+                breaker.record_failure()
+                raise
+            breaker.record_success()
+            return kernel
+
+        kernel, tier = compile_cache.get_or_compute(key, compute)
         return kernel, tier, key
+
+    def _persist(self, kernel: Any, tier: str, key: str) -> None:
+        """Write a memory hit through to the disk tier, so kernels
+        resolved ahead of traffic (``warm()``, the specializer) survive
+        a restart. A compile already wrote through, and a disk hit came
+        from there."""
+        if (
+            tier == TIER_MEMORY
+            and self.disk_tier is not None
+            and not self.disk_tier.contains(key)
+        ):
+            self.disk_tier.store(key, kernel)
 
     def _fit_inputs(
         self,
@@ -1277,20 +1283,12 @@ class RuntimeServer:
         )
         if tier != TIER_COMPILE:
             return
-        trace = getattr(kernel, "pass_trace", None)
-        if trace is None:
-            return
-        for record in trace.records:
-            if record.started_at_s <= 0.0:
-                continue
-            # Clamp into the compile span: under concurrent compiles of
-            # the same key, the PassTrace on the returned kernel may
-            # belong to another thread's (earlier) pipeline run.
-            start = min(max(record.started_at_s, compile_start), compile_end)
-            end = min(max(start, record.started_at_s + record.wall_time_s),
-                      compile_end)
+        # The tier is authoritative: this batch's own compile produced
+        # the kernel, so its PassTrace lies inside the compile span.
+        for record in kernel.pass_trace.records:
             tracer.record(
-                f"pass.{record.name}", "compile", start, end,
+                f"pass.{record.name}", "compile", record.started_at_s,
+                record.started_at_s + record.wall_time_s,
                 parent=compile_span,
                 args={
                     "ops_before": record.ops_before,

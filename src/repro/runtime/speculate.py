@@ -343,18 +343,12 @@ class Speculator(BackgroundLoop):
             max_workers=self.config.max_workers,
             raise_on_error=False,
         )
-        succeeded = 0
-        for (key, _build), kernel in zip(todo, kernels):
-            self._attempted.add(key)
-            if isinstance(kernel, api.CompileFailure):
-                continue
-            succeeded += 1
-            if server.disk_tier is not None and not server.disk_tier.contains(
-                key
-            ):
-                # Memory hits skip write-through; persist explicitly so
-                # restarts warm from disk, exactly like warm() does.
-                server.disk_tier.store(key, kernel)
+        # Every todo key was in neither tier, so its compile already
+        # wrote through to disk.
+        self._attempted.update(key for key, _build in todo)
+        succeeded = sum(
+            not isinstance(kernel, api.CompileFailure) for kernel in kernels
+        )
         issued = 0
         if succeeded:
             with self._lock:

@@ -29,14 +29,9 @@ from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
+from repro.compiler.cache import TIERS
 from repro.obs.metrics import derived, stat, stat_exports
 from repro.util import fmt_percent
-
-#: The cache tier that produced a request's kernel.
-TIER_MEMORY = "memory"
-TIER_DISK = "disk"
-TIER_COMPILE = "compile"
-TIERS = (TIER_MEMORY, TIER_DISK, TIER_COMPILE)
 
 #: Version of the ``RuntimeStats.to_json()`` schema. Bump on any
 #: renamed/removed key; consumers (benchmarks, dashboards) key off it.

@@ -6,10 +6,15 @@ zero passes) while any semantic difference, including mutating a spec
 in place after building it, misses.
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro import api
 from repro.compiler import CompileOptions, compile_cache, pass_execution_count
+from repro.compiler.cache import TIER_COMPILE, TIER_DISK, TIER_MEMORY
 from repro.kernels.gemm import build_gemm
 
 
@@ -217,17 +222,6 @@ class TestCompileMany:
         assert pass_execution_count() - executed == len(DEFAULT_PIPELINE)
         assert all(kernel is kernels[0] for kernel in kernels)
 
-    def test_return_errors_captures_cypress_errors(self, hopper):
-        from repro.errors import CypressError
-
-        good = _build(hopper)
-        bad = _build(hopper)
-        bad.spec.by_instance["gemm_block"].smem_limit_bytes = 1024
-        with pytest.warns(DeprecationWarning):
-            results = api.compile_many([good, bad], return_errors=True)
-        assert not isinstance(results[0], CypressError)
-        assert isinstance(results[1], CypressError)
-
     def test_unknown_executor_rejected(self, hopper):
         from repro.errors import CypressError
 
@@ -330,12 +324,14 @@ class TestSecondTier:
         tier = _DictTier()
         tier.entries["k"] = "kernel"
         cache.attach_second_tier(tier)
-        value = cache.get_or_compute("k", lambda: pytest.fail("computed"))
-        assert value == "kernel"
+        result = cache.get_or_compute("k", lambda: pytest.fail("computed"))
+        assert result == ("kernel", TIER_DISK)
         assert cache.stats.second_tier_hits == 1
         assert cache.stats.misses == 0
         # Promoted into memory: the next lookup never touches the tier.
-        assert cache.get_or_compute("k", lambda: None) == "kernel"
+        assert cache.get_or_compute("k", lambda: None) == (
+            "kernel", TIER_MEMORY
+        )
         assert tier.loads == 1
         assert cache.stats.hits == 1
 
@@ -345,8 +341,8 @@ class TestSecondTier:
         cache = CompileCache(capacity=4)
         tier = _DictTier()
         cache.attach_second_tier(tier)
-        value = cache.get_or_compute("k", lambda: "fresh")
-        assert value == "fresh"
+        result = cache.get_or_compute("k", lambda: "fresh")
+        assert result == ("fresh", TIER_COMPILE)
         assert tier.entries["k"] == "fresh"
         assert cache.stats.misses == 1
 
@@ -357,8 +353,11 @@ class TestSecondTier:
         tier = _DictTier()
         cache.attach_second_tier(tier)
         assert cache.detach_second_tier() is tier
-        cache.get_or_compute("k", lambda: "fresh")
+        assert cache.get_or_compute("k", lambda: "fresh") == (
+            "fresh", TIER_COMPILE
+        )
         assert tier.stores == 0
+        assert tier.loads == 0
 
     def test_memory_eviction_leaves_tier_copy(self):
         from repro.compiler.cache import CompileCache
@@ -366,8 +365,69 @@ class TestSecondTier:
         cache = CompileCache(capacity=1)
         tier = _DictTier()
         cache.attach_second_tier(tier)
-        cache.get_or_compute("a", lambda: "A")
-        cache.get_or_compute("b", lambda: "B")  # evicts a from memory
+        assert cache.get_or_compute("a", lambda: "A") == ("A", TIER_COMPILE)
+        # Evicts a from memory.
+        assert cache.get_or_compute("b", lambda: "B") == ("B", TIER_COMPILE)
         assert "a" not in cache
-        assert cache.get_or_compute("a", lambda: pytest.fail("computed")) == "A"
+        assert cache.get_or_compute(
+            "a", lambda: pytest.fail("computed")
+        ) == ("A", TIER_DISK)
         assert cache.stats.second_tier_hits == 1
+
+
+class TestAnsweringTier:
+    def test_concurrent_lookups_name_one_compile(self):
+        """Under contention exactly one caller reports the compile;
+        every other caller reports a memory hit on its result."""
+        from repro.compiler.cache import CompileCache
+
+        cache = CompileCache(capacity=4)
+        cache.attach_second_tier(_DictTier())
+        computed = []
+        results = []
+        lock = threading.Lock()
+        start = threading.Barrier(16)
+
+        def compute():
+            computed.append(1)
+            time.sleep(0.01)
+            return "kernel"
+
+        def lookup():
+            start.wait(timeout=30)
+            result = cache.get_or_compute("k", compute)
+            with lock:
+                results.append(result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookup) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(computed) == 1
+        tiers = sorted(tier for _kernel, tier in results)
+        assert tiers == [TIER_COMPILE] + [TIER_MEMORY] * 15
+        assert {kernel for kernel, _tier in results} == {"kernel"}
+        assert (cache.stats.misses, cache.stats.hits) == (1, 15)
+
+    def test_failed_compute_leaves_key_retryable(self):
+        from repro.compiler.cache import CompileCache
+
+        cache = CompileCache(capacity=4)
+
+        def broken():
+            raise RuntimeError("compile failed")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_compute("k", broken)
+        assert "k" not in cache
+        assert cache.get_or_compute("k", lambda: "kernel") == (
+            "kernel", TIER_COMPILE
+        )
+        assert not cache._in_flight

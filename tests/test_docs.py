@@ -1,7 +1,7 @@
 """Documentation contracts: docstring coverage and markdown links.
 
-The ``docs-check`` CI job runs exactly this module. It enforces two
-invariants so documentation cannot silently regress:
+The tier-1 test suite runs this module. It enforces two invariants so
+documentation cannot silently regress:
 
 1. every public symbol of ``repro.api``, ``repro.tuner``,
    ``repro.runtime``, ``repro.runtime.speculate``,

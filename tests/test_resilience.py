@@ -697,6 +697,74 @@ class TestCompileBreaker:
             assert stats.degraded_serves == 1
             assert stats.failed == 0
 
+    def _corrupt_restart(self, hopper, registry, disk, **kwargs):
+        """Compile one bucket to ``disk``, truncate its entry, and
+        return a restarted server over the same directory."""
+        shape = dict(m=128, n=256, k=64)
+        if not DiskCacheTier(disk).keys():
+            with RuntimeServer(
+                hopper, registry, workers=1, disk_cache=str(disk)
+            ) as server:
+                server.submit("gemm", shape).result(timeout=120)
+        (key,) = DiskCacheTier(disk).keys()
+        path = disk / f"{key}.pkl"
+        path.write_bytes(path.read_bytes()[:20])
+        api.clear_compile_cache()
+        return RuntimeServer(
+            hopper, registry, workers=1, disk_cache=str(disk), **kwargs
+        )
+
+    def test_corrupt_disk_entry_recompiles_as_compile_tier(
+        self, hopper, registry, tmp_path
+    ):
+        # The disk file exists but cannot be loaded: the request pays a
+        # real compile, so it must say so (and not claim a disk hit).
+        disk = tmp_path / "kernels"
+        with self._corrupt_restart(hopper, registry, disk) as server:
+            result = server.submit(
+                "gemm", dict(m=128, n=256, k=64)
+            ).result(timeout=120)
+            stats = server.stats()
+        assert result.tier == "compile"
+        assert stats.tier_counts["compile"] == 1
+        assert stats.tier_counts["disk"] == 0
+        assert api.compile_cache_stats().misses == 1
+
+        # That recompile is a real compile: an open compile breaker
+        # refuses it instead of compiling silently.
+        config = ResilienceConfig(breaker_cooldown_s=600.0)
+        with self._corrupt_restart(
+            hopper, registry, disk, resilience=config
+        ) as server:
+            self._trip(server, "compile:gemm")
+            future = server.submit("gemm", dict(m=128, n=256, k=64))
+            with pytest.raises(BreakerOpen, match="compile:gemm"):
+                future.result(timeout=120)
+
+    def test_open_disk_breaker_reports_compile_tier(
+        self, hopper, registry, tmp_path
+    ):
+        disk = tmp_path / "kernels"
+        shape = dict(m=128, n=256, k=64)
+        with RuntimeServer(
+            hopper, registry, workers=1, disk_cache=str(disk)
+        ) as server:
+            server.submit("gemm", shape).result(timeout=120)
+        api.clear_compile_cache()
+        config = ResilienceConfig(breaker_cooldown_s=600.0)
+        with RuntimeServer(
+            hopper, registry, workers=1, disk_cache=str(disk),
+            resilience=config,
+        ) as server:
+            self._trip(server, "disk")
+            result = server.submit("gemm", shape).result(timeout=120)
+            stats = server.stats()
+        # The valid entry on disk was skipped, so the kernel came from
+        # a compile.
+        assert result.tier == "compile"
+        assert stats.tier_counts["compile"] == 1
+        assert stats.degraded_serves >= 1
+
     def test_breaker_trip_emits_trace_span(self, hopper, registry):
         with RuntimeServer(
             hopper, registry, workers=1, trace=True

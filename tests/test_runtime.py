@@ -9,6 +9,7 @@ after a simulated restart a disk-tier hit that executes zero passes.
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -366,6 +367,43 @@ class TestConcurrency:
             assert stats.max_batch_size >= 2
         finally:
             server.close()
+
+    def test_cold_burst_reports_one_compile(
+        self, hopper, registry, monkeypatch
+    ):
+        # Two workers race the same cold key: the cache compiles once,
+        # and only the request whose worker ran that compile says so.
+        server = RuntimeServer(
+            hopper, registry, workers=2, max_batch=1, start=False
+        )
+        real = api.compile_kernel
+
+        def slow_compile(build, **kwargs):
+            # Hold the compile open until the other worker has taken
+            # its request, so the two lookups overlap.
+            while server.queue_depth:
+                time.sleep(0.001)
+            time.sleep(0.1)
+            return real(build, **kwargs)
+
+        monkeypatch.setattr(api, "compile_kernel", slow_compile)
+        try:
+            futures = [
+                server.submit("gemm", dict(m=128, n=256, k=64))
+                for _ in range(2)
+            ]
+            server.start()
+            results = [f.result(timeout=120) for f in futures]
+            stats = server.stats()
+        finally:
+            server.close()
+        assert all(r.batch_size == 1 for r in results)
+        assert sorted(r.tier for r in results) == ["compile", "memory"]
+        assert (
+            stats.tier_counts["compile"]
+            == api.compile_cache_stats().misses
+            == 1
+        )
 
     def test_priority_orders_service(self, hopper, registry):
         order = []

@@ -466,14 +466,14 @@ class TestFaultInjection:
             hopper, registry, workers=1, start=False, specialize=_config()
         ) as server:
             compiles = []
-            real = api.compile_many
+            real = api.compile_kernel
 
-            def stopping_compile(builds, **kwargs):
-                compiles.append(len(builds))
+            def stopping_compile(build, **kwargs):
+                compiles.append(1)
                 server.specializer.stop()  # close() racing the compile
-                return real(builds, **kwargs)
+                return real(build, **kwargs)
 
-            monkeypatch.setattr(api, "compile_many", stopping_compile)
+            monkeypatch.setattr(api, "compile_kernel", stopping_compile)
             _inject(server, HOT_M, 6)
             assert server.specializer.run_once() == 0
             assert compiles == [1]  # the compile did run...
