@@ -32,6 +32,7 @@ from repro.errors import CompileError
 from repro.frontend.mapping import MappingSpec, TaskMapping
 from repro.ir.module import IRFunction
 from repro.ir.verifier import verify_function
+from repro.obs.trace import PHASES
 from repro.tensors.dtype import DType
 
 
@@ -281,25 +282,6 @@ def _ir_size(fn: IRFunction) -> int:
     return sum(1 for _ in fn.walk())
 
 
-#: Cached handle on the sampling profiler's phase tracker. Resolved on
-#: first PassManager.run: the compiler stack must stay importable
-#: without repro.obs.profiler (which transitively pulls in the
-#: runtime), so the hook binds lazily and degrades to None forever if
-#: the import fails.
-_PHASES = None
-
-
-def _phase_tracker():
-    global _PHASES
-    if _PHASES is None:
-        try:
-            from repro.obs.profiler import PHASES as tracker
-        except Exception:  # pragma: no cover - profiler unavailable
-            tracker = False
-        _PHASES = tracker
-    return _PHASES or None
-
-
 class PassManager:
     """Runs an ordered list of passes with instrumentation.
 
@@ -334,17 +316,10 @@ class PassManager:
         if self.verify is not VerifyPolicy.NEVER:
             verify_function(fn)
             trace.verified_after.append("input")
-        phases = _phase_tracker()
         for p in self.passes:
             ops_before = _ir_size(fn)
             start = time.perf_counter()
-            if phases is not None and phases.enabled:
-                phases.push(f"pass.{p.name}")
-                try:
-                    p.run(fn, ctx)
-                finally:
-                    phases.pop()
-            else:
+            with PHASES.phase(f"pass.{p.name}"):
                 p.run(fn, ctx)
             elapsed = time.perf_counter() - start
             with _counter_lock:

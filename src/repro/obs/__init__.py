@@ -13,6 +13,8 @@ crash". Cooperating subsystems:
   graph-node, template hit/miss, and speculation-cycle spans — and a
   Chrome-trace/Perfetto JSON exporter. A disabled tracer is the no-op
   :data:`NULL_TRACER`; hot paths pay one attribute load and a branch.
+  The module also holds :class:`PhaseTracker`, the per-thread phase
+  markers the profiler samples, fed by the same stage boundaries.
 * :mod:`~repro.obs.metrics` — :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` behind a :class:`MetricsRegistry` with labels and
   Prometheus text exposition (:meth:`MetricsRegistry.render`);
@@ -30,8 +32,8 @@ crash". Cooperating subsystems:
   and ``/profilez`` from a running server.
 * :mod:`~repro.obs.profiler` — :class:`ContinuousProfiler`: an
   always-on sampling profiler attributing thread samples to serving
-  phases (queue / dispatch / compile / pass.<name> / execute /
-  graph.node / idle) with flamegraph-ready collapsed stacks.
+  phases (queue / dispatch / batch / compile / pass.<name> / execute
+  / graph.node / idle) with flamegraph-ready collapsed stacks.
 * :mod:`~repro.obs.slo` — :class:`Slo` / :class:`SloMonitor`:
   declarative objectives with multi-window burn-rate alerting over
   rolling :class:`~repro.runtime.telemetry.RuntimeStats` windows.
@@ -53,6 +55,7 @@ from repro.obs.metrics import (
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
+    PhaseTracker,
     Span,
     Tracer,
     validate_chrome_trace,
@@ -67,7 +70,6 @@ _LAZY_EXPORTS = {
     "DiagConfig": "repro.obs.ops",
     "DiagServer": "repro.obs.ops",
     "ContinuousProfiler": "repro.obs.profiler",
-    "PhaseTracker": "repro.obs.profiler",
     "ProfilerConfig": "repro.obs.profiler",
     "Slo": "repro.obs.slo",
     "SloMonitor": "repro.obs.slo",

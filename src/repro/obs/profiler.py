@@ -7,16 +7,17 @@ standard production alternative — a *sampling* profiler. A background
 thread wakes ``hz`` times per second, snapshots every thread's current
 frame via :func:`sys._current_frames`, and attributes each sample to
 the serving **phase** the thread is in: ``queue`` (submit-side
-enqueue), ``dispatch`` (batch assembly), ``compile`` /
-``pass.<name>`` (pipeline work, per compiler pass), ``execute``
-(simulation + functional replay), ``graph.node`` (graph-scheduler
-wave preparation), or ``idle`` (a registered worker waiting for
-work). Phase attribution rides on a per-thread stack of markers
-(:class:`PhaseTracker`) that the runtime pushes around its hot
-sections — the same single-boolean gating discipline as
-:data:`~repro.obs.trace.NULL_TRACER`: when no profiler is active,
-``PHASES.enabled`` is ``False`` and every instrumentation site is one
-attribute load and a branch.
+enqueue), ``dispatch`` (heap pop to a claimed batch), ``batch``
+(micro-batch bookkeeping), ``compile`` / ``pass.<name>`` (pipeline
+work, per compiler pass), ``execute`` (simulation + functional
+replay), ``graph.node`` (graph-scheduler wave preparation), or
+``idle`` (a registered worker waiting for work). Phase attribution
+rides on the per-thread markers of :data:`~repro.obs.trace.PHASES`;
+a worker's markers follow the same
+:class:`~repro.obs.trace.StageClock` boundaries its trace spans do.
+When no profiler is active, ``PHASES.enabled`` is ``False`` and every
+instrumentation site is one attribute load and a branch — the same
+discipline as :data:`~repro.obs.trace.NULL_TRACER`.
 
 Beyond phase counts the profiler keeps bounded per-``(kernel,
 bucket)`` sample counts (which shapes burn the CPU) and bounded
@@ -38,85 +39,11 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import CypressError
-
-
-class PhaseTracker:
-    """Per-thread stacks of serving-phase markers.
-
-    The runtime's hot sections bracket themselves with
-    :meth:`push`/:meth:`pop` **only when ``enabled`` is true**, so the
-    instrumentation is a single attribute load and branch when no
-    profiler is running. The sampler calls :meth:`snapshot` to read
-    the top-of-stack phase of every instrumented thread.
-
-    ``enabled`` is reference-counted via :meth:`activate` /
-    :meth:`deactivate` so two profilers (e.g. a server-owned one plus
-    a test-driven one) compose.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._lock = threading.Lock()
-        self._active = 0
-        self._stacks: Dict[int, List[Tuple[str, Optional[str]]]] = {}
-
-    def activate(self) -> None:
-        """Turn instrumentation on (reference-counted)."""
-        with self._lock:
-            self._active += 1
-            self.enabled = True
-
-    def deactivate(self) -> None:
-        """Drop one activation; instrumentation stops at zero."""
-        with self._lock:
-            self._active = max(0, self._active - 1)
-            if self._active == 0:
-                self.enabled = False
-                self._stacks.clear()
-
-    def push(self, phase: str, detail: Optional[str] = None) -> None:
-        """Enter ``phase`` on the calling thread."""
-        tid = threading.get_ident()
-        with self._lock:
-            self._stacks.setdefault(tid, []).append((phase, detail))
-
-    def pop(self) -> None:
-        """Leave the calling thread's innermost phase."""
-        tid = threading.get_ident()
-        with self._lock:
-            stack = self._stacks.get(tid)
-            if stack:
-                stack.pop()
-            if not stack:
-                self._stacks.pop(tid, None)
-
-    def current(self) -> Optional[Tuple[str, Optional[str]]]:
-        """The calling thread's innermost ``(phase, detail)``, if any."""
-        with self._lock:
-            stack = self._stacks.get(threading.get_ident())
-            return stack[-1] if stack else None
-
-    def snapshot(self) -> Dict[int, Tuple[str, Optional[str]]]:
-        """Top-of-stack ``(phase, detail)`` per instrumented thread."""
-        with self._lock:
-            return {
-                tid: stack[-1]
-                for tid, stack in self._stacks.items()
-                if stack
-            }
-
-
-#: Process-wide phase tracker. Defined *before* the BackgroundLoop
-#: import below: ``runtime.server`` imports this name at module top,
-#: and ``repro.runtime.speculate`` transitively initializes
-#: ``repro.runtime`` — defining PHASES first keeps every entry order
-#: into the ``obs.profiler <-> runtime`` cycle safe.
-PHASES = PhaseTracker()
-
-from repro.runtime.speculate import BackgroundLoop  # noqa: E402
+from repro.obs.trace import PHASES, PhaseTracker  # noqa: F401 (re-export)
+from repro.runtime.speculate import BackgroundLoop
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
     from repro.runtime.server import RuntimeServer

@@ -10,16 +10,20 @@ and exports the whole timeline as Chrome-trace/Perfetto JSON
 (:meth:`Tracer.export_chrome_trace`) loadable in ``chrome://tracing``
 or https://ui.perfetto.dev.
 
-Two recording styles coexist:
+Three recording styles coexist:
 
 * :meth:`Tracer.begin` / :meth:`Tracer.end` — explicit-parent spans
   that may start on one thread and finish on another (a request's root
   span starts on the submitting thread and ends on a worker);
 * :meth:`Tracer.record` — retro-record an already-measured interval
-  (the serving hot path times segments with bare ``perf_counter``
-  reads and records spans only when tracing is on);
+  (the serving hot path stamps stage boundaries on a
+  :class:`StageClock` and records spans only when tracing is on);
 * :meth:`Tracer.span` — a context manager using a thread-local stack
   for same-thread nesting (builder, speculator).
+
+The profiler's per-thread phase markers (:data:`PHASES`) live here
+too, below the runtime and compiler that mark them; a worker's
+:class:`StageClock` moves them on the same boundaries as its spans.
 
 **Zero-cost-when-off:** the module-level :data:`NULL_TRACER` singleton
 (:class:`NullTracer`) implements the same surface as no-ops. Hot paths
@@ -35,13 +39,14 @@ export headers.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import CypressError
 from repro.obs.metrics import derived
@@ -106,7 +111,8 @@ class Span:
 
 
 class _NullContext:
-    """The context manager a disabled tracer hands out (yields ``None``)."""
+    """The no-op context a disabled tracer or disarmed phase tracker
+    hands out (yields ``None``)."""
 
     __slots__ = ()
 
@@ -162,6 +168,125 @@ class NullTracer:
 
 #: Process-wide singleton handed to everything constructed untraced.
 NULL_TRACER = NullTracer()
+
+
+class PhaseTracker:
+    """Per-thread stacks of serving-phase markers.
+
+    Code marks a section with ``with PHASES.phase(name, detail):``;
+    when no profiler is armed (``enabled`` is false) that is one
+    attribute load and a shared no-op context. The sampler calls
+    :meth:`snapshot` to read the top-of-stack phase of every
+    instrumented thread.
+
+    ``enabled`` is reference-counted via :meth:`activate` /
+    :meth:`deactivate` so two profilers (e.g. a server-owned one plus
+    a test-driven one) compose.
+    """
+
+    def __init__(self) -> None:
+        self.enabled = False
+        self._lock = threading.Lock()
+        self._active = 0
+        self._stacks: Dict[int, List[Tuple[str, Optional[str]]]] = {}
+
+    def activate(self) -> None:
+        """Turn instrumentation on (reference-counted)."""
+        with self._lock:
+            self._active += 1
+            self.enabled = True
+
+    def deactivate(self) -> None:
+        """Drop one activation; instrumentation stops at zero."""
+        with self._lock:
+            self._active = max(0, self._active - 1)
+            if self._active == 0:
+                self.enabled = False
+                self._stacks.clear()
+
+    def phase(self, phase: str, detail: Optional[str] = None):
+        """Context manager marking ``phase`` on the calling thread; a
+        shared no-op when no profiler is armed."""
+        return self._marked(phase, detail) if self.enabled else _NULL_CONTEXT
+
+    @contextlib.contextmanager
+    def _marked(self, phase: str, detail: Optional[str]):
+        self.push(phase, detail)
+        try:
+            yield
+        finally:
+            self.pop()
+
+    def push(self, phase: str, detail: Optional[str] = None) -> None:
+        """Enter ``phase`` on the calling thread."""
+        tid = threading.get_ident()
+        with self._lock:
+            self._stacks.setdefault(tid, []).append((phase, detail))
+
+    def pop(self) -> None:
+        """Leave the calling thread's innermost phase."""
+        tid = threading.get_ident()
+        with self._lock:
+            stack = self._stacks.get(tid)
+            if stack:
+                stack.pop()
+            if not stack:
+                self._stacks.pop(tid, None)
+
+    def current(self) -> Optional[Tuple[str, Optional[str]]]:
+        """The calling thread's innermost ``(phase, detail)``, if any."""
+        with self._lock:
+            stack = self._stacks.get(threading.get_ident())
+            return stack[-1] if stack else None
+
+    def snapshot(self) -> Dict[int, Tuple[str, Optional[str]]]:
+        """Top-of-stack ``(phase, detail)`` per instrumented thread."""
+        with self._lock:
+            return {
+                tid: stack[-1]
+                for tid, stack in self._stacks.items()
+                if stack
+            }
+
+
+#: Process-wide phase tracker the sampling profiler reads.
+PHASES = PhaseTracker()
+
+
+class StageClock:
+    """The serving stages of one popped batch, on shared boundaries.
+
+    Starts in stage ``first``; each :meth:`enter` ends the current
+    stage and starts the next. When ``timed``, :attr:`starts` maps
+    each stage to its ``perf_counter`` start (the server's stage spans
+    are built from it); when a profiler is armed, the thread's
+    :data:`PHASES` marker follows the stage. With neither on, a
+    boundary reads no clock.
+    """
+
+    __slots__ = ("starts", "_timed", "_marked")
+
+    def __init__(self, first: str, timed: bool) -> None:
+        self.starts: Dict[str, float] = {}
+        self._timed = timed
+        self._marked = False
+        self.enter(first)
+
+    def enter(self, stage: str, detail: Optional[str] = None) -> None:
+        """End the current stage and start ``stage``."""
+        if self._marked:
+            PHASES.pop()
+        self._marked = PHASES.enabled
+        if self._marked:
+            PHASES.push(stage, detail)
+        if self._timed:
+            self.starts[stage] = time.perf_counter()
+
+    def close(self) -> None:
+        """End the last stage (idempotent)."""
+        if self._marked:
+            self._marked = False
+            PHASES.pop()
 
 
 class _SpanContext:
@@ -281,7 +406,8 @@ class Tracer:
         args: Optional[Dict[str, Any]] = None,
     ) -> Span:
         """Retro-record an interval that was timed with bare
-        ``perf_counter`` reads (the serving hot path's style).
+        ``perf_counter`` reads (the serving hot path's style, via
+        :class:`StageClock`).
 
         Args:
             name / cat / parent / args: as :meth:`begin`.

@@ -48,8 +48,7 @@ from repro.errors import CypressError
 from repro.gpusim.gpu import GpuResult
 from repro.machine.machine import MachineModel
 from repro.obs.flight import FlightRecorder
-from repro.obs.profiler import PHASES
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, PHASES, StageClock, Tracer
 from repro.runtime import faults
 from repro.runtime.bucketing import Bucket
 from repro.runtime.diskcache import DiskCacheTier
@@ -563,14 +562,8 @@ class RuntimeServer:
         """
         if not requests:
             return
-        profiling = PHASES.enabled
-        if profiling:
-            PHASES.push("queue")
-        try:
+        with PHASES.phase("queue"):
             self._submit_prepared(requests)
-        finally:
-            if profiling:
-                PHASES.pop()
 
     def _submit_prepared(self, requests: List[_QueuedRequest]) -> None:
         now = time.perf_counter()
@@ -980,9 +973,7 @@ class RuntimeServer:
                 if not self._queue:
                     return
                 request = heapq.heappop(self._queue)
-                popped_at = (
-                    time.perf_counter() if self.tracer.enabled else 0.0
-                )
+                clock = StageClock("dispatch", self.tracer.enabled)
                 batch = [request]
                 if self.max_batch > 1 and self._queue:
                     same = sorted(
@@ -1002,13 +993,15 @@ class RuntimeServer:
                         heapq.heapify(self._queue)
                         batch.extend(same)
             try:
-                self._execute_batch(batch, popped_at)
+                self._execute_batch(batch, clock)
             except Exception as error:  # pragma: no cover - crash path
                 # _execute_batch handles per-request errors itself; an
                 # exception escaping it (telemetry, tracing, future
                 # plumbing) would otherwise kill this worker silently.
                 # Fail whatever is unresolved and leave a black box.
                 self._worker_crash(batch, error)
+            finally:
+                clock.close()
 
     def _worker_crash(
         self, batch: List[_QueuedRequest], error: Exception
@@ -1099,69 +1092,47 @@ class RuntimeServer:
         return kernel, tier
 
     def _execute_batch(
-        self, batch: List[_QueuedRequest], popped_at: float = 0.0
+        self, batch: List[_QueuedRequest], clock: StageClock
     ) -> None:
-        profiling = PHASES.enabled
-        if profiling:
-            PHASES.push("dispatch")
-        try:
-            live = self._dispatch_live(batch)
-        finally:
-            if profiling:
-                PHASES.pop()
+        live = self._dispatch_live(batch)
         if not live:
             return
+        clock.enter("batch")
         tracer = self.tracer
-        tracing = tracer.enabled
-        assembled_at = time.perf_counter() if tracing else 0.0
         self.telemetry.record_batch(len(live))
         head = live[0]
         detail = (
-            f"{head.kernel.name}:{head.bucket.label()}" if profiling else None
+            f"{head.kernel.name}:{head.bucket.label()}"
+            if PHASES.enabled else None
         )
         if self.speculator is not None:
             self.speculator.note_request(head.kernel.name, head.bucket)
         try:
-            compile_start = time.perf_counter() if tracing else 0.0
-            if profiling:
-                PHASES.push("compile", detail)
-            try:
-                kernel, tier = self._obtain_for_batch(head, len(live))
-            finally:
-                if profiling:
-                    PHASES.pop()
-            compile_end = time.perf_counter() if tracing else 0.0
+            clock.enter("compile", detail)
+            kernel, tier = self._obtain_for_batch(head, len(live))
+            clock.enter("execute", detail)
             from repro import api
 
-            if profiling:
-                PHASES.push("execute", detail)
-            try:
-                plan = faults.ACTIVE
-                if plan is None:
-                    gpu = api.simulate(kernel, self.machine)
-                else:
+            plan = faults.ACTIVE
+            if plan is None:
+                gpu = api.simulate(kernel, self.machine)
+            else:
 
-                    def run_batch() -> Any:
-                        active = faults.ACTIVE
-                        if active is not None:
-                            active.check(
-                                "worker.execute", head.kernel.name
-                            )
-                        return api.simulate(kernel, self.machine)
+                def run_batch() -> Any:
+                    active = faults.ACTIVE
+                    if active is not None:
+                        active.check("worker.execute", head.kernel.name)
+                    return api.simulate(kernel, self.machine)
 
-                    # Simulation is deterministic, so a retried
-                    # injected fault reproduces bit-identical results
-                    # — the degraded-output guarantee bench_chaos
-                    # gates on.
-                    gpu = call_with_retry(
-                        run_batch,
-                        self.resilience.retry,
-                        salt=f"execute:{head.kernel.name}",
-                        on_retry=self._on_retry,
-                    )
-            finally:
-                if profiling:
-                    PHASES.pop()
+                # Simulation is deterministic, so a retried injected
+                # fault reproduces bit-identical results — the
+                # degraded-output guarantee bench_chaos gates on.
+                gpu = call_with_retry(
+                    run_batch,
+                    self.resilience.retry,
+                    salt=f"execute:{head.kernel.name}",
+                    on_retry=self._on_retry,
+                )
         except Exception as error:
             self.telemetry.add("failed", len(live))
             for request in live:
@@ -1169,100 +1140,82 @@ class RuntimeServer:
                     tracer.end(request.span, args={"error": repr(error)})
                 request.future.set_exception(error)
             return
-        if tracing:
-            self._record_batch_spans(
-                live, kernel, tier, popped_at, assembled_at,
-                compile_start, compile_end,
-            )
+        if tracer.enabled:
+            self._record_batch_spans(live, kernel, tier, clock)
         params = self._bucket_params.get(head.batch_key)
-        if profiling:
-            PHASES.push("execute", detail)
-        try:
-            for request in live:
-                try:
-                    outputs = None
-                    if request.inputs is not None:
-                        from repro import api
+        for request in live:
+            try:
+                outputs = None
+                if request.inputs is not None:
+                    from repro import api
 
-                        arrays = dict(request.inputs)
-                        if request.specialized:
-                            # Callers pad inputs to the *generic*
-                            # bucket; the specialized kernel is
-                            # smaller. Crop the zero-padding off
-                            # (bit-identical results).
-                            arrays = self._fit_inputs(kernel, arrays)
-                        outputs = api.run_functional(kernel, arrays)
-                    done_at = time.perf_counter()
-                    latency = done_at - request.submitted_at
-                    result = RuntimeResult(
-                        kernel=request.kernel.name,
-                        build_name=kernel.name,
-                        requested_shape=dict(request.shape),
-                        bucket=request.bucket,
-                        tier=tier,
-                        batch_size=len(live),
-                        gpu=gpu,
-                        latency_s=latency,
-                        outputs=outputs,
-                        params=dict(params) if params else None,
+                    arrays = dict(request.inputs)
+                    if request.specialized:
+                        # Callers pad inputs to the *generic* bucket;
+                        # the specialized kernel is smaller. Crop the
+                        # zero-padding off (bit-identical results).
+                        arrays = self._fit_inputs(kernel, arrays)
+                    outputs = api.run_functional(kernel, arrays)
+                done_at = time.perf_counter()
+                latency = done_at - request.submitted_at
+                result = RuntimeResult(
+                    kernel=request.kernel.name,
+                    build_name=kernel.name,
+                    requested_shape=dict(request.shape),
+                    bucket=request.bucket,
+                    tier=tier,
+                    batch_size=len(live),
+                    gpu=gpu,
+                    latency_s=latency,
+                    outputs=outputs,
+                    params=dict(params) if params else None,
+                )
+                self.telemetry.record_result(
+                    request.kernel.name, latency, tier, gpu.tflops
+                )
+                if request.span is not None:
+                    tracer.record(
+                        "execute", "serve", clock.starts["execute"],
+                        done_at, parent=request.span,
                     )
-                    self.telemetry.record_result(
-                        request.kernel.name, latency, tier, gpu.tflops
+                    # The root span must close before set_result: a
+                    # graph node's done-callback runs synchronously
+                    # inside it and closes this span's parent.
+                    tracer.end(
+                        request.span,
+                        args={"tier": tier, "batch_size": len(live)},
                     )
-                    if request.span is not None:
-                        tracer.record(
-                            "execute", "serve", compile_end, done_at,
-                            parent=request.span,
-                        )
-                        # The root span must close before set_result:
-                        # a graph node's done-callback runs
-                        # synchronously inside it and closes this
-                        # span's parent.
-                        tracer.end(
-                            request.span,
-                            args={"tier": tier, "batch_size": len(live)},
-                        )
-                    request.future.set_result(result)
-                except Exception as error:
-                    self.telemetry.add("failed")
-                    if (
-                        request.span is not None
-                        and not request.span.closed
-                    ):
-                        tracer.end(
-                            request.span, args={"error": repr(error)}
-                        )
-                    request.future.set_exception(error)
-        finally:
-            if profiling:
-                PHASES.pop()
+                request.future.set_result(result)
+            except Exception as error:
+                self.telemetry.add("failed")
+                if request.span is not None and not request.span.closed:
+                    tracer.end(request.span, args={"error": repr(error)})
+                request.future.set_exception(error)
 
     def _record_batch_spans(
         self,
         live: List[_QueuedRequest],
         kernel: Any,
         tier: str,
-        popped_at: float,
-        assembled_at: float,
-        compile_start: float,
-        compile_end: float,
+        clock: StageClock,
     ) -> None:
-        """Record the shared per-batch child spans.
+        """Record the shared per-batch child spans from ``clock``.
 
         Every request gets a ``queue`` child (its own submit time to
         the batch's pop/assembly); the head request additionally owns
         the batch-wide stages — ``dispatch`` (heap pop + same-bucket
-        scan), ``batch`` (micro-batch finalization), and ``compile``
-        (kernel acquisition, with one ``pass.*`` child per compiler
-        pass lifted from the kernel's :class:`~repro.compiler.passes.
-        PassTrace` when the batch actually compiled).
+        scan + deadline filter), ``batch`` (micro-batch bookkeeping),
+        and ``compile`` (kernel acquisition, with one ``pass.*`` child
+        per compiler pass lifted from the kernel's :class:`~repro.
+        compiler.passes.PassTrace` when the batch actually compiled).
         """
         tracer = self.tracer
         head = live[0]
+        starts = clock.starts
         for request in live:
             if request.span is None:
                 continue
-            waited_until = popped_at if request is head else assembled_at
+            waited_until = starts["dispatch" if request is head else "batch"]
             tracer.record(
                 "queue", "serve",
                 request.submitted_at, max(waited_until, request.submitted_at),
@@ -1271,14 +1224,15 @@ class RuntimeServer:
         if head.span is None:
             return
         tracer.record(
-            "dispatch", "serve", popped_at, assembled_at,
+            "dispatch", "serve", starts["dispatch"], starts["batch"],
             parent=head.span, args={"batch_size": len(live)},
         )
         tracer.record(
-            "batch", "serve", assembled_at, compile_start, parent=head.span
+            "batch", "serve", starts["batch"], starts["compile"],
+            parent=head.span,
         )
         compile_span = tracer.record(
-            "compile", "compile", compile_start, compile_end,
+            "compile", "compile", starts["compile"], starts["execute"],
             parent=head.span, args={"tier": tier},
         )
         if tier != TIER_COMPILE:

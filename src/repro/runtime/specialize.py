@@ -273,7 +273,10 @@ class ShapeSpecializer(BackgroundLoop):
                 return 0  # not hotter than anything installed
             self._deopt(coldest, self._active[coldest], reason="budget")
         tracer = server.tracer
-        started = time.perf_counter() if tracer.enabled else 0.0
+        span = tracer.begin(
+            "specialize.promote", "specialize",
+            args={"kernel": registered.name, "shape": exact.label()},
+        )
         # Defaults only — tuned tiles pinned for ladder rungs are not
         # guaranteed to divide an aligned shape; the granules are.
         try:
@@ -283,16 +286,7 @@ class ShapeSpecializer(BackgroundLoop):
             with self._lock:
                 self._quarantine[key] = self._cycle + config.quarantine_cycles
             server.telemetry.add("specialize_errors")
-            if tracer.enabled:
-                tracer.record(
-                    "specialize.promote", "specialize",
-                    started, time.perf_counter(),
-                    args={
-                        "kernel": registered.name,
-                        "shape": exact.label(),
-                        "error": repr(failure),
-                    },
-                )
+            tracer.end(span, args={"error": repr(failure)})
             return 0
         server._persist(*resolved)
         if self._stop.is_set():
@@ -309,17 +303,10 @@ class ShapeSpecializer(BackgroundLoop):
         with self._lock:
             self._active[key] = entry
         server.telemetry.add("promotions")
-        if tracer.enabled:
-            tracer.record(
-                "specialize.promote", "specialize",
-                started, time.perf_counter(),
-                args={
-                    "kernel": registered.name,
-                    "shape": exact.label(),
-                    "serving": serving.label(),
-                    "flops_saved": flops_saved,
-                },
-            )
+        tracer.end(
+            span,
+            args={"serving": serving.label(), "flops_saved": flops_saved},
+        )
         return 1
 
     def _deopt(

@@ -210,6 +210,8 @@ class Speculator(BackgroundLoop):
         # Buckets this speculator precompiled, -> "has a request hit
         # it yet" (so each bucket counts at most one speculation hit).
         self._precompiled: Dict[Tuple[str, Bucket], bool] = {}
+        # (kernel, bucket) -> (registered, params, keyed builds).
+        self._candidates: Dict[Tuple[str, Bucket], tuple] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -276,16 +278,27 @@ class Speculator(BackgroundLoop):
     # ------------------------------------------------------------------
     def _builds_for(
         self, registered: RegisteredKernel, bucket: Bucket
-    ) -> List[KernelBuild]:
-        """The builds worth precompiling for one candidate bucket.
+    ) -> List[Tuple[str, KernelBuild]]:
+        """The ``(compile key, build)`` pairs worth precompiling for one
+        candidate bucket.
 
         The head of the list is always the exact build the server's
         ``_obtain_kernel`` would produce, so the compile key matches
         real traffic. ``tune=True`` appends the analytically-ranked
         top-k mappings and pins the winner when the bucket has no
-        tuned parameters yet.
+        tuned parameters yet. The list is memoized until the kernel is
+        re-registered or the bucket's pinned parameters change, so an
+        idle cycle only re-probes the cache tiers.
         """
         server = self.server
+        slot = (registered.name, bucket)
+        memo = self._candidates.get(slot)
+        if (
+            memo is not None
+            and memo[0] is registered
+            and memo[1] == server._bucket_params.get(slot)
+        ):
+            return memo[2]
         ranked = []
         if self.config.tune and registered.search_space is not None:
             from repro.tuner import rank_candidates
@@ -301,12 +314,17 @@ class Speculator(BackgroundLoop):
             )
             if ranked:
                 server._bucket_params.setdefault(
-                    (registered.name, bucket), adapt(ranked[0].candidate)
+                    slot, adapt(ranked[0].candidate)
                 )
-        params = server._bucket_params.get((registered.name, bucket))
+        params = server._bucket_params.get(slot)
         builds = [registered.build(server.machine, bucket, params)]
         builds.extend(survivor.build for survivor in ranked)
-        return builds
+        keyed = [
+            (compile_key_for(build, server._options), build)
+            for build in builds
+        ]
+        self._candidates[slot] = (registered, params, keyed)
+        return keyed
 
     def _speculate_bucket(
         self, registered: RegisteredKernel, bucket: Bucket
@@ -316,14 +334,13 @@ class Speculator(BackgroundLoop):
 
         server = self.server
         try:
-            builds = self._builds_for(registered, bucket)
+            keyed = self._builds_for(registered, bucket)
         except Exception:
             self.errors += 1
             return 0
         todo: List[Tuple[str, KernelBuild]] = []
         seen: Set[str] = set()
-        for build in builds:
-            key = compile_key_for(build, server._options)
+        for key, build in keyed:
             if key in seen or key in self._attempted:
                 continue
             seen.add(key)

@@ -1,6 +1,6 @@
 """Documentation contracts: docstring coverage and markdown links.
 
-The tier-1 test suite runs this module. It enforces two invariants so
+The tier-1 test suite runs this module. It enforces these invariants so
 documentation cannot silently regress:
 
 1. every public symbol of ``repro.api``, ``repro.tuner``,
@@ -14,7 +14,9 @@ documentation cannot silently regress:
 2. every intra-repo markdown link in ``README.md``, ``docs/``, and the
    other root guides resolves to an existing file;
 3. the ``RuntimeStats`` table in ``docs/serving.md`` names every field
-   and public property of the dataclass.
+   and public property of the dataclass;
+4. the span table in ``docs/observability.md`` names every span a
+   traced server emits on a fixed serving workload.
 """
 
 import dataclasses
@@ -190,4 +192,29 @@ class TestStatsReference:
         missing = sorted(public - documented)
         assert not missing, (
             f"docs/serving.md RuntimeStats table lacks {missing}"
+        )
+
+
+def _documented_spans():
+    """Span names in the first column of ``docs/observability.md``'s
+    span table."""
+    text = (REPO_ROOT / "docs" / "observability.md").read_text()
+    section = text.split("## Span tracing", 1)[1].split("\n## ", 1)[0]
+    return {
+        re.findall(r"`([^`]+)`", line.split("|")[1])[0]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    }
+
+
+class TestSpanReference:
+    def test_span_table_names_every_served_span(self, traced_serving):
+        spans, _worker = traced_serving
+        emitted = {
+            "pass.<name>" if span.name.startswith("pass.") else span.name
+            for span in spans
+        }
+        missing = sorted(emitted - _documented_spans())
+        assert not missing, (
+            f"docs/observability.md span table lacks {missing}"
         )

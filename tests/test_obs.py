@@ -320,6 +320,77 @@ class TestServerSpans:
         assert len(roots) == (len(workload) - graphs) + 2 * graphs
 
 
+_PASS_ARGS = ("ops_after", "ops_before", "wall_time_s")
+_REQUEST_ARGS = ("batch_size", "bucket", "kernel", "tier")
+
+#: ``(name, cat, parent name, sorted arg keys)`` -> count for the
+#: ``traced_serving`` workload: three batches (cold, warm, and the
+#: two-node graph riding one micro-batch), four requests, one cold
+#: compile with a child per pass, and one promotion.
+EXPECTED_SPAN_SHAPE = {
+    ("request", "serve", None, _REQUEST_ARGS): 2,
+    ("request", "serve", "node", _REQUEST_ARGS): 2,
+    ("queue", "serve", "request", ()): 4,
+    ("dispatch", "serve", "request", ("batch_size",)): 3,
+    ("batch", "serve", "request", ()): 3,
+    ("compile", "compile", "request", ("tier",)): 3,
+    ("execute", "serve", "request", ()): 4,
+    ("graph", "graph", None, ("makespan_s", "nodes")): 1,
+    ("node", "graph", "graph", ("kernel", "label", "priority", "uid")): 2,
+    ("specialize.promote", "specialize", None,
+     ("flops_saved", "kernel", "serving", "shape")): 1,
+    **{
+        (f"pass.{name}", "compile", "compile", _PASS_ARGS): 1
+        for name in (
+            "vectorize", "copy-elim", "allocate-shared",
+            "warp-specialize", "lower-schedule", "codegen-cuda",
+        )
+    },
+}
+
+
+class TestServingSpanCompat:
+    """The serving span tree an exported trace (and perfbench's layer
+    join) relies on: names, categories, parents, arg keys, and the
+    stage boundaries adjacent spans share."""
+
+    def test_span_tree_shape_is_pinned(self, traced_serving):
+        spans, _worker = traced_serving
+        assert _violations(spans) == []
+        by_sid = {span.sid: span for span in spans}
+        shape = {}
+        for span in spans:
+            parent = by_sid[span.parent].name if span.parent else None
+            key = (span.name, span.cat, parent, tuple(sorted(span.args)))
+            shape[key] = shape.get(key, 0) + 1
+        assert shape == EXPECTED_SPAN_SHAPE
+
+    def test_stages_share_their_boundaries(self, traced_serving):
+        spans, worker = traced_serving
+        requests = [span for span in spans if span.name == "request"]
+        compile_ends = set()
+        heads = 0
+        for request in requests:
+            stages = {
+                span.name: span for span in _children(spans, request)
+            }
+            if "compile" not in stages:
+                continue  # a micro-batch rider
+            heads += 1
+            assert stages["dispatch"].end_s == stages["batch"].start_s
+            assert stages["batch"].end_s == stages["compile"].start_s
+            compile_ends.add(stages["compile"].end_s)
+            for name in ("dispatch", "batch", "compile"):
+                assert stages[name].tid == worker
+        assert heads == 3
+        executes = [span for span in spans if span.name == "execute"]
+        assert len(executes) == len(requests) == 4
+        for span in executes:
+            # perfbench joins riders to their head on this identity.
+            assert span.start_s in compile_ends
+            assert span.tid == worker
+
+
 # ----------------------------------------------------------------------
 # Chrome-trace exporter
 # ----------------------------------------------------------------------

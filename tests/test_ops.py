@@ -688,6 +688,45 @@ class TestPhaseTracker:
             assert not PHASES.enabled
             assert PHASES.snapshot() == {}
 
+    def test_worker_phases_follow_the_batch(
+        self, hopper, registry, monkeypatch
+    ):
+        from repro.compiler.passes import VectorizePass
+
+        seen = {}
+
+        def spy(label, fn):
+            def wrapper(*args, **kwargs):
+                seen.setdefault(label, []).append(PHASES.current())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for label, owner, attr in (
+            ("dispatch", RuntimeServer, "_dispatch_live"),
+            ("obtain", RuntimeServer, "_obtain_for_batch"),
+            ("simulate", api, "simulate"),
+            ("vectorize", VectorizePass, "run"),
+        ):
+            monkeypatch.setattr(
+                owner, attr, spy(label, getattr(owner, attr))
+            )
+        PHASES.activate()
+        try:
+            with RuntimeServer(hopper, registry, workers=1) as server:
+                result = server.submit("gemm", GEMM_SHAPE).result(
+                    timeout=600
+                )
+        finally:
+            PHASES.deactivate()
+        detail = f"gemm:{result.bucket.label()}"
+        assert seen == {
+            "dispatch": [("dispatch", None)],
+            "obtain": [("compile", detail)],
+            "simulate": [("execute", detail)],
+            "vectorize": [("pass.vectorize", None)],
+        }
+
 
 class TestProfiler:
     def test_config_validation(self):
@@ -744,7 +783,7 @@ class TestProfiler:
             stack, count = line.rsplit(" ", 1)
             assert int(count) >= 1
             assert stack.split(";")[0] in {
-                "queue", "dispatch", "compile", "execute", "idle",
+                "queue", "dispatch", "batch", "compile", "execute", "idle",
                 "graph.node",
             } or stack.split(";")[0].startswith("pass.")
         top = {entry["stack"] for entry in report["top_stacks"]}

@@ -434,6 +434,24 @@ class TestFaultInjection:
             result = server.submit("gemm", _shape(HOT_M)).result(timeout=120)
             assert result.bucket.as_dict()["m"] == GENERIC_M
 
+    def test_failed_promotion_span_carries_the_error(self, hopper):
+        with RuntimeServer(
+            hopper, _registry(builder=_flaky_gemm), workers=1, start=False,
+            trace=True, specialize=_config(),
+        ) as server:
+            _inject(server, HOT_M, 6)
+            assert server.specializer.run_once() == 0
+            spans = [
+                span for span in server.tracer.spans()
+                if span.name == "specialize.promote"
+            ]
+        assert [sorted(span.args) for span in spans] == [
+            ["error", "kernel", "shape"]
+        ]
+        assert spans[0].cat == "specialize"
+        assert spans[0].parent is None
+        assert "induced build failure" in spans[0].args["error"]
+
     def test_quarantine_backoff_then_retry(self, hopper):
         with RuntimeServer(
             hopper, _registry(builder=_flaky_gemm), workers=1, start=False,

@@ -229,3 +229,40 @@ class TestSpeculator:
             before = speculator.errors
             assert speculator.run_once() == 0
             assert speculator.errors > before
+
+    def test_idle_cycle_rebuilds_nothing(self, hopper, registry, monkeypatch):
+        from repro.frontend.mapping import MappingSpec
+        from repro.runtime.registry import RegisteredKernel
+
+        calls = {"build": 0, "fingerprint": 0}
+
+        def counted(label, fn):
+            def wrapper(*args, **kwargs):
+                calls[label] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with RuntimeServer(
+            hopper, registry, workers=1, speculate=_config(interval_s=60.0)
+        ) as server:
+            server.submit("gemm", dict(m=128, n=256, k=64)).result(
+                timeout=120
+            )
+            assert server.speculator.run_once() > 0
+            monkeypatch.setattr(
+                RegisteredKernel, "build",
+                counted("build", RegisteredKernel.build),
+            )
+            monkeypatch.setattr(
+                MappingSpec, "fingerprint",
+                counted("fingerprint", MappingSpec.fingerprint),
+            )
+            # Warm: every candidate is cached, so the cycle only probes.
+            assert server.speculator.run_once() == 0
+            assert calls == {"build": 0, "fingerprint": 0}
+            # Pinning new params for a bucket rebuilds just that one.
+            bucket = Bucket((("m", 128), ("n", 256), ("k", 64)))
+            server._bucket_params[("gemm", bucket)] = dict(SMALL)
+            assert server.speculator.run_once() == 0
+            assert calls == {"build": 1, "fingerprint": 1}
